@@ -40,6 +40,7 @@
 #include "em/em_vector.hpp"
 #include "em/stream.hpp"
 #include "em/thread_pool.hpp"
+#include "select/classify.hpp"
 #include "select/linear_splitters.hpp"
 #include "sort/chunk_sort.hpp"
 
@@ -240,14 +241,15 @@ std::vector<PendingBucket<T>> distribute_piece(
     std::vector<std::uint64_t> cum(sp.size(), 0);  // cum[j] = #{e <= s_j}
     auto cum_res = ctx.budget().reserve(cum.size() * sizeof(std::uint64_t));
     {
+      const std::span<const T> sp_span(sp);
       StreamReader<T> reader(src, first, last);
       while (!reader.done()) {
-        const T e = reader.next();
-        const auto it = std::lower_bound(
-            sp.begin(), sp.end(), e,
-            [&](const T& x, const T& y) { return less(x, y); });
-        const auto j = static_cast<std::size_t>(it - sp.begin());
-        if (j < cum.size()) ++cum[j];
+        const std::span<const T> blk = reader.peek_span();
+        for (const T& e : blk) {
+          const std::size_t j = branchless_lower_bound(sp_span, e, less);
+          if (j < cum.size()) ++cum[j];
+        }
+        reader.consume(blk.size());
       }
     }
     for (std::size_t j = 1; j < cum.size(); ++j) cum[j] += cum[j - 1];
@@ -351,11 +353,9 @@ std::vector<PendingBucket<T>> distribute_piece(
     // thread count.  The index array is optional scratch: when the budget
     // is too tight next to the sink buffers (or the batch is too small to
     // pay for a dispatch), the per-record serial path runs instead.
+    const std::span<const T> cuts(cut_elems);
     auto classify = [&](const T& e) {
-      const auto it = std::lower_bound(
-          cut_elems.begin(), cut_elems.end(), e,
-          [&](const T& p, const T& x) { return less(p, x); });
-      return static_cast<std::size_t>(it - cut_elems.begin());
+      return branchless_lower_bound(cuts, e, less);
     };
     ThreadPool* pool = ctx.cpu_pool();
     LaneScratch<std::uint32_t> idx(

@@ -12,7 +12,11 @@
 //      t_i = r_i - prefix[j(i)-1].
 //   3. One more scan builds the intermixed instance: every element of a
 //      bucket that contains at least one queried rank is emitted once per
-//      querying rank, tagged with that query's group id.
+//      querying rank, tagged with that query's group id.  The scan never
+//      searches the full splitter array: a branch-free search over the
+//      upper splitters of the (at most K) queried buckets finds a record's
+//      candidate bucket, one comparison with that bucket's lower splitter
+//      confirms it, and every other record is dropped.
 //   4. intermixed_select() solves all K rank queries concurrently.
 //
 // |D| = sum of the queried buckets' sizes <= K * bucket_bound; with
@@ -27,6 +31,7 @@
 #include <cassert>
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -34,6 +39,7 @@
 #include "em/pass_engine.hpp"
 #include "em/em_vector.hpp"
 #include "em/stream.hpp"
+#include "select/classify.hpp"
 #include "select/intermixed.hpp"
 #include "select/linear_splitters.hpp"
 
@@ -75,12 +81,7 @@ std::vector<T> multi_select_base(Context& ctx, const EmVector<T>& vec,
 
     // An element e belongs to bucket j = index of the first splitter >= e
     // (buckets are (s_{j-1}, s_j], left-closed at -inf, right-open at +inf).
-    auto bucket_of = [&](const T& e) -> std::size_t {
-      const auto it =
-          std::lower_bound(sp.begin(), sp.end(), e,
-                           [&](const T& s, const T& x) { return less(s, x); });
-      return static_cast<std::size_t>(it - sp.begin());
-    };
+    const std::span<const T> sp_span(sp);
 
     // Step 2: bucket sizes -> prefix sums (num_buckets <= M/4 + 1 counters).
     std::vector<std::uint64_t> prefix(num_buckets + 1, 0);
@@ -88,7 +89,13 @@ std::vector<T> multi_select_base(Context& ctx, const EmVector<T>& vec,
         ctx.budget().reserve((num_buckets + 1) * sizeof(std::uint64_t));
     runner.run("msel/count-buckets", [&] {
       StreamReader<T> reader(vec, first, last);
-      while (!reader.done()) ++prefix[bucket_of(reader.next()) + 1];
+      while (!reader.done()) {
+        const std::span<const T> blk = reader.peek_span();
+        for (const T& e : blk) {
+          ++prefix[branchless_lower_bound(sp_span, e, less) + 1];
+        }
+        reader.consume(blk.size());
+      }
     });
     for (std::size_t j = 1; j <= num_buckets; ++j) prefix[j] += prefix[j - 1];
 
@@ -104,21 +111,43 @@ std::vector<T> multi_select_base(Context& ctx, const EmVector<T>& vec,
     }
 
     // Step 3: build the intermixed instance.  Per bucket, the querying
-    // groups form a contiguous run of the sorted rank list.
+    // groups form a contiguous run of the sorted rank list, so the queried
+    // buckets are the distinct values of rank_bucket (u <= k of them).  The
+    // fences are their upper splitters, in increasing bucket order; the
+    // +inf bucket, when queried, is last and has none.
+    std::vector<T> fences;
+    std::vector<std::size_t> slot_bucket;  // queried bucket of slot t
+    std::vector<std::size_t> slot_first;   // first group of slot t, then k
+    for (std::size_t i = 0; i < k; ++i) {
+      if (i == 0 || rank_bucket[i] != rank_bucket[i - 1]) {
+        slot_bucket.push_back(rank_bucket[i]);
+        slot_first.push_back(i);
+        if (rank_bucket[i] < sp.size()) fences.push_back(sp[rank_bucket[i]]);
+      }
+    }
+    slot_first.push_back(k);
+    const std::size_t u = slot_bucket.size();
+    auto fence_res = ctx.budget().reserve(
+        fences.size() * sizeof(T) + (2 * u + 1) * sizeof(std::size_t));
     runner.run("msel/build-instance", [&] {
       d = EmVector<Grouped<T>>(ctx, static_cast<std::size_t>(d_size));
       StreamReader<T> scan(vec, first, last);
       StreamWriter<Grouped<T>> writer(d);
+      const std::span<const T> fence_span(fences);
       while (!scan.done()) {
-        const T e = scan.next();
-        const std::size_t jb = bucket_of(e);
-        // Groups querying bucket jb: binary search the contiguous run.
-        auto lo = std::lower_bound(rank_bucket.begin(), rank_bucket.end(), jb);
-        auto hi = std::upper_bound(lo, rank_bucket.end(), jb);
-        for (auto it = lo; it != hi; ++it) {
-          const auto g = static_cast<std::uint64_t>(it - rank_bucket.begin());
-          writer.push(Grouped<T>{e, g});
+        const std::span<const T> blk = scan.peek_span();
+        for (const T& e : blk) {
+          // Slot t is the first queried bucket whose upper splitter is >= e;
+          // e lies in it unless it falls at or below its lower splitter.
+          const std::size_t t = branchless_lower_bound(fence_span, e, less);
+          if (t == u) continue;  // above every queried bucket
+          const std::size_t jb = slot_bucket[t];
+          if (jb > 0 && !less(sp[jb - 1], e)) continue;  // in an unqueried gap
+          for (std::size_t g = slot_first[t]; g < slot_first[t + 1]; ++g) {
+            writer.push(Grouped<T>{e, static_cast<std::uint64_t>(g)});
+          }
         }
+        scan.consume(blk.size());
       }
       writer.finish();
     });

@@ -41,10 +41,14 @@ using Clock = std::chrono::steady_clock;
   return ec == std::errc{} && p == e;
 }
 
+// Replies go out with MSG_NOSIGNAL: a client that disconnects mid-reply
+// makes the send fail with EPIPE, which ends only that connection, instead
+// of raising SIGPIPE, which would kill the whole server.
 [[nodiscard]] bool write_all(int fd, const std::string& data) {
   std::size_t off = 0;
   while (off < data.size()) {
-    const ssize_t w = ::write(fd, data.data() + off, data.size() - off);
+    const ssize_t w =
+        ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -55,7 +59,7 @@ using Clock = std::chrono::steady_clock;
 }
 
 /// Write a batch of responses with as few syscalls as possible — one
-/// writev() per up-to-64 iovecs, resuming across short writes.  The strings
+/// sendmsg() per up-to-64 iovecs, resuming across short writes.  The strings
 /// must stay alive for the duration of the call.
 [[nodiscard]] bool writev_all(int fd, const std::vector<std::string>& parts) {
   std::vector<iovec> iov;
@@ -66,8 +70,10 @@ using Clock = std::chrono::steady_clock;
   }
   std::size_t i = 0;
   while (i < iov.size()) {
-    const int cnt = static_cast<int>(std::min<std::size_t>(iov.size() - i, 64));
-    const ssize_t w = ::writev(fd, &iov[i], cnt);
+    msghdr msg{};
+    msg.msg_iov = &iov[i];
+    msg.msg_iovlen = std::min<std::size_t>(iov.size() - i, 64);
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -750,7 +756,8 @@ void SplitterServer::accept_loop(int lfd, bool tcp) {
   for (std::thread& t : conns) t.join();
 }
 
-void SplitterServer::serve_unix(const std::string& socket_path) {
+void SplitterServer::serve_unix(const std::string& socket_path,
+                                const std::function<void()>& on_listening) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (socket_path.size() >= sizeof(addr.sun_path)) {
@@ -767,6 +774,7 @@ void SplitterServer::serve_unix(const std::string& socket_path) {
     ::close(lfd);
     throw std::runtime_error("service: cannot listen on " + socket_path);
   }
+  if (on_listening) on_listening();
 
   accept_loop(lfd, /*tcp=*/false);
   ::close(lfd);

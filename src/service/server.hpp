@@ -69,6 +69,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -163,7 +164,11 @@ class SplitterServer {
   std::uint64_t refresh();
 
   /// Accept-and-serve loop on a Unix-domain socket (blocks until stop()).
-  void serve_unix(const std::string& socket_path);
+  /// `on_listening` runs once the socket is bound and listening, before the
+  /// first accept: a client that connects from then on is queued, never
+  /// refused — the hook for a readiness signal.
+  void serve_unix(const std::string& socket_path,
+                  const std::function<void()>& on_listening = {});
 
   /// Accept-and-serve loop on a TCP socket (blocks until stop()).  Pass
   /// port 0 to bind an ephemeral port; tcp_port() reports the bound port

@@ -5,20 +5,24 @@
 // reads), condvar-driven refresh retirement (an epoch publish under zero
 // load never waits, let alone sleeps), condvar admission (a queued query
 // admits the moment budget bytes free up), the pipelined line protocol
-// (torn lines, batched lines answered in order, oversized lines rejected),
-// the TCP front end (bit-identical replies to the Unix socket), and the
-// epoch-keying invariant under concurrent refresh: a reply's cached reads
-// always come from the very epoch that answered it.
+// (torn lines, batched lines answered in order, oversized lines rejected, a
+// client closing mid-reply ends only its own connection), readiness (the
+// serve hook and the CLI's readiness line come only once the socket
+// listens), the TCP front end (bit-identical replies to the Unix socket),
+// and the epoch-keying invariant under concurrent refresh: a reply's cached
+// reads always come from the very epoch that answered it.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -311,11 +315,12 @@ struct ServiceOnSocket {
   std::string src = temp_path("pipe_src.rec");
   std::thread srv;
 
-  void start(const std::vector<Record>& host, std::uint64_t cache_blocks = 0) {
+  void start(const std::vector<Record>& host, std::uint64_t cache_blocks = 0,
+             std::uint64_t buckets = kBuckets) {
     write_record_file(src, host);
     SplitterServer::Config cfg;
     cfg.source_path = src;
-    cfg.buckets = kBuckets;
+    cfg.buckets = buckets;
     cfg.bucket_cache_blocks = cache_blocks;
     server = std::make_unique<SplitterServer>(env.ctx, cfg);
     server->start();
@@ -410,6 +415,127 @@ TEST(PipelinedProtocol, OversizedLineIsRejectedAndConnectionClosed) {
   c2.connect_unix(svc.sock);
   c2.send_raw("EPOCH\n");
   EXPECT_EQ(c2.read_line(), "OK 1\n");
+}
+
+TEST(PipelinedProtocol, ClientClosingMidReplyEndsOnlyItsConnection) {
+  // 200 pipelined HIST 512 requests draw about 3 MB of replies, far more
+  // than the socket buffers hold, so the server is still sending when the
+  // client closes.  That send must fail with EPIPE and end this connection
+  // only; a SIGPIPE would kill the whole process, this test included.
+  constexpr std::uint64_t kHistBuckets = 512;
+  const auto host = make_workload(Workload::kUniform, kRecords, 59);
+  ServiceOnSocket svc;
+  svc.start(host, /*cache_blocks=*/0, kHistBuckets);
+  {
+    SocketClient c;
+    c.connect_unix(svc.sock);
+    std::string reqs;
+    for (int i = 0; i < 200; ++i) {
+      reqs += "HIST " + std::to_string(kHistBuckets) + "\n";
+    }
+    c.send_raw(reqs);
+    EXPECT_EQ(c.read_line(), "OK " + std::to_string(kHistBuckets) + " " +
+                                 std::to_string(kRecords) + "\n");
+  }  // closed with almost all of the reply unread
+
+  SocketClient c2;
+  c2.connect_unix(svc.sock);
+  c2.send_raw("EPOCH\n");
+  EXPECT_EQ(c2.read_line(), "OK 1\n");
+}
+
+TEST(PipelinedProtocol, ReadyCallbackRunsOnceListening) {
+  // A client that connects from inside the readiness hook — before the
+  // first accept — must be queued by the listening socket, not refused.
+  const auto host = make_workload(Workload::kUniform, kRecords, 60);
+  testutil::EmEnv env{kBlockBytes, kMemBlocks};
+  const std::string src = temp_path("ready_src.rec");
+  const std::string sock = temp_path("ready.sock");
+  write_record_file(src, host);
+  SplitterServer::Config cfg;
+  cfg.source_path = src;
+  cfg.buckets = kBuckets;
+  SplitterServer server(env.ctx, cfg);
+  server.start();
+
+  SocketClient c;
+  int ready_calls = 0;
+  std::thread srv([&] {
+    server.serve_unix(sock, [&] {
+      ++ready_calls;
+      c.connect_unix(sock);
+      if (c.io == nullptr) {  // refused: fail the test, don't hang it
+        server.stop();
+        return;
+      }
+      c.send_raw("EPOCH\nSHUTDOWN\n");
+    });
+  });
+  srv.join();  // SHUTDOWN, once accepted and answered, ends the loop
+  EXPECT_EQ(ready_calls, 1);
+  ASSERT_NE(c.io, nullptr) << "connect from the readiness hook was refused";
+  EXPECT_EQ(c.read_line(), "OK 1\n");
+  EXPECT_EQ(c.read_line(), "OK bye\n");
+  std::remove(src.c_str());
+}
+
+// `emsplit serve` prints its readiness line only once the socket listens:
+// a client that connects the moment the line appears, with no retry, is
+// answered.
+TEST(ServeCli, ConnectsAsSoonAsReadinessLineAppears) {
+  const auto host = make_workload(Workload::kUniform, kRecords, 61);
+  const std::string src = temp_path("cli_src.rec");
+  const std::string sock = temp_path("cli.sock");
+  write_record_file(src, host);
+
+  int out[2];
+  ASSERT_EQ(::pipe(out), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::dup2(out[1], STDOUT_FILENO);
+    ::close(out[0]);
+    ::close(out[1]);
+    ::execl(EMSPLIT_CLI_PATH, "emsplit", "serve", src.c_str(), sock.c_str(),
+            "--buckets=16", static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ::close(out[1]);
+  // Kill the server on any early exit from the test body.
+  struct Child {
+    pid_t pid;
+    ~Child() {
+      if (pid > 0) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+      }
+    }
+  } child{pid};
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> lines(::fdopen(out[0], "r"),
+                                                        &std::fclose);
+  ASSERT_NE(lines, nullptr);
+
+  const std::string ready = "[serve] listening on " + sock + "\n";
+  bool seen = false;
+  char buf[512];
+  while (!seen && std::fgets(buf, sizeof(buf), lines.get()) != nullptr) {
+    seen = ready == buf;
+  }
+  ASSERT_TRUE(seen) << "server exited without its readiness line";
+
+  SocketClient c;
+  c.connect_unix(sock);  // asserts the first connect succeeds
+  c.send_raw("EPOCH\nSHUTDOWN\n");
+  EXPECT_EQ(c.read_line(), "OK 1\n");
+  EXPECT_EQ(c.read_line(), "OK bye\n");
+
+  while (std::fgets(buf, sizeof(buf), lines.get()) != nullptr) {
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  child.pid = 0;
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  std::remove(src.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -284,9 +284,12 @@ int cmd_serve(const Options& opt, int argc, char** argv) {
                   static_cast<unsigned>(server.tcp_port()));
     }
   }
-  std::printf("[serve] listening on %s\n", socket_path.c_str());
-  std::fflush(stdout);  // readiness marker: scripts wait for this line
-  server.serve_unix(socket_path);
+  // Readiness marker: scripts wait for this line, so it is printed only
+  // once the socket is bound and listening — a connect on seeing it works.
+  server.serve_unix(socket_path, [&] {
+    std::printf("[serve] listening on %s\n", socket_path.c_str());
+    std::fflush(stdout);
+  });
   server.stop();  // SHUTDOWN on either front end winds down the other
   if (tcp_thread.joinable()) tcp_thread.join();
   // Trace: the machine's pass rows (build/refresh passes) first, then the
