@@ -42,6 +42,7 @@
 #include "em/em_vector.hpp"
 #include "em/stream.hpp"
 #include "em/worker_group.hpp"
+#include "sort/branchless_sort.hpp"
 
 namespace emsplit::dist {
 
@@ -149,7 +150,7 @@ std::vector<T> formation_round(WorkerGroup& group, const DistPlan& p,
       const std::size_t hi = std::min(p.n, lo + p.chunk);
       buf.resize(hi - lo);
       load_range<T>(in_v, lo, std::span<T>(buf));
-      std::sort(buf.begin(), buf.end(), less);
+      branchless_sort(std::span<T>(buf), less);
       store_range<T>(runs_v, lo, std::span<const T>(buf));
       for (std::size_t j = p.stride; j <= buf.size(); j += p.stride) {
         samples.push_back(buf[j - 1]);
@@ -361,7 +362,7 @@ std::vector<PartEdges<T>> scatter_round(
           off += len;
         }
         assert(off == plen);
-        std::sort(buf.begin(), buf.end(), less);
+        branchless_sort(std::span<T>(buf), less);
         pw.push_span(std::span<const T>(buf));
       } else {
         // Oversized (duplicate-dominated or sampling-starved) part: k-way

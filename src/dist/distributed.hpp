@@ -47,6 +47,7 @@
 #include "em/pass_engine.hpp"
 #include "em/stream.hpp"
 #include "em/worker_group.hpp"
+#include "sort/branchless_sort.hpp"
 
 namespace emsplit::dist {
 
@@ -327,7 +328,7 @@ DistResult<T> dist_run(Context& ctx, const EmVector<T>& input,
                                    less, rows);
       ctx.note_pass_workers(std::move(rows));
     });
-    std::sort(samples.begin(), samples.end(), less);
+    branchless_sort(std::span<T>(samples), less);
     have_samples = true;
     typename PassChain<T>::Offsets offs;
     for (std::size_t lo = 0; lo < n; lo += p.chunk) offs.push_back(lo);
@@ -359,7 +360,7 @@ DistResult<T> dist_run(Context& ctx, const EmVector<T>& input,
     if (!have_samples) {  // resumed at pass 1: the samples died, the runs not
       std::vector<PassWorkerIo> rows;
       samples = resample_round<T>(group, p, chain.data().extent(), rows);
-      std::sort(samples.begin(), samples.end(), less);
+      branchless_sort(std::span<T>(samples), less);
       merge_worker_rows(acc, std::move(rows));
     }
     std::vector<std::uint64_t> targets;

@@ -63,8 +63,9 @@ struct CpuTuning {
   std::size_t threads = 1;
   /// Shards per in-memory chunk sort (run formation, segment sorts,
   /// partition leaves).  A geometry knob like batch_blocks: shards > 1 sorts
-  /// shard-wise and merges, which is still bit-identical to one std::sort
-  /// under a total order (and under any comparator for a fixed shard count).
+  /// shard-wise and merges, which is still bit-identical to one whole-chunk
+  /// sort under a total order (and under any comparator for a fixed shard
+  /// count).
   /// Defaults to 1 so the default path is the seed path, instruction for
   /// instruction.
   std::size_t sort_shards = 1;

@@ -144,6 +144,7 @@ class WireReader {
 
  private:
   void raw(void* p, std::size_t n) {
+    if (n == 0) return;  // memcpy from an empty span's null data() is UB
     if (n > data_.size() - off_) {
       throw std::runtime_error("WireReader: truncated frame");
     }

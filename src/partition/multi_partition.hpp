@@ -177,7 +177,7 @@ void partition_node(Context& ctx, const EmVector<T>* root, std::size_t first,
     // remaining rank at once.  This caps the recursion depth at
     // O(log_{M/B} min{K, N/M'}) — the min{...} terms in the paper's
     // Theorems 3 and 6.  The sort is shard-parallel (chunk_sort.hpp); the
-    // merged push sequence is the same as a single std::sort's, so the
+    // merged push sequence is the same as one whole-piece sort's, so the
     // RangeWriter performs identical I/O.
     auto res = ctx.budget().reserve(n * sizeof(T));
     std::vector<T> buf(n);

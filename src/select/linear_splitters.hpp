@@ -10,7 +10,8 @@
 // Construction — recursive chunked sampling:
 //   level 0:   S_0 = S.
 //   level l:   read S_{l-1} in chunks of C = M/2 records, sort each chunk in
-//              memory, keep the elements at local ranks s, 2s, 3s, ...
+//              memory (branchless_sort: in place, so the chunk is the only
+//              record buffer), keep the elements at local ranks s, 2s, ...
 //              (s = 4); they form S_l.
 //   stop when |S_L| <= M/4; the final sample set, sorted, is the splitters.
 //
@@ -35,6 +36,7 @@
 #include "em/pass_engine.hpp"
 #include "em/em_vector.hpp"
 #include "em/stream.hpp"
+#include "sort/branchless_sort.hpp"
 
 namespace emsplit {
 
@@ -94,7 +96,7 @@ template <EmRecord T, typename Less = std::less<T>>
         } else {
           load_range<T>(level_vec, off, span);
         }
-        std::sort(span.begin(), span.end(), less);
+        branchless_sort(span, less);
         for (std::size_t r = kStride - 1; r < len; r += kStride) {
           writer.push(span[r]);
         }
@@ -118,7 +120,7 @@ template <EmRecord T, typename Less = std::less<T>>
       } else {
         load_range<T>(level_vec, 0, std::span<T>(result.splitters));
       }
-      std::sort(result.splitters.begin(), result.splitters.end(), less);
+      branchless_sort(std::span<T>(result.splitters), less);
     });
   }
 

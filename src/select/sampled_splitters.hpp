@@ -29,6 +29,7 @@
 #include "em/em_vector.hpp"
 #include "em/stream.hpp"
 #include "select/linear_splitters.hpp"
+#include "sort/branchless_sort.hpp"
 #include "util/rng.hpp"
 
 namespace emsplit {
@@ -66,7 +67,7 @@ template <EmRecord T, typename Less = std::less<T>>
         if (j < target) reservoir[static_cast<std::size_t>(j)] = e;
       }
     }
-    std::sort(reservoir.begin(), reservoir.end(), less);
+    branchless_sort(std::span<T>(reservoir), less);
     result.splitters = std::move(reservoir);
   }
 

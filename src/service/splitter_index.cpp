@@ -2,8 +2,9 @@
 //
 // The index itself is a header template; what lives here is the non-template
 // request log — QueryTraceLog (thread-safe: queries complete on N serving
-// threads) and the JSON-lines emitters, mirroring pass_engine.cpp's row
-// format so one trace file carries both pass rows and query rows.
+// threads; a fixed ring of the latest rows) and the JSON-lines emitters,
+// mirroring pass_engine.cpp's row format so one trace file carries both pass
+// rows and query rows.
 
 #include "service/splitter_index.hpp"
 
@@ -13,17 +14,35 @@ namespace emsplit {
 
 void QueryTraceLog::record(QueryTrace trace) {
   const std::lock_guard<std::mutex> lock(mu_);
-  rows_.push_back(std::move(trace));
+  if (rows_.size() < kCapacity) {
+    rows_.push_back(std::move(trace));
+    return;
+  }
+  rows_[oldest_] = std::move(trace);
+  oldest_ = (oldest_ + 1) % kCapacity;
+  ++dropped_;
 }
 
 std::vector<QueryTrace> QueryTraceLog::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return rows_;
+  std::vector<QueryTrace> out;
+  out.reserve(rows_.size());
+  const auto split = rows_.begin() + static_cast<std::ptrdiff_t>(oldest_);
+  out.insert(out.end(), split, rows_.end());
+  out.insert(out.end(), rows_.begin(), split);
+  return out;
+}
+
+std::uint64_t QueryTraceLog::dropped() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return dropped_;
 }
 
 void QueryTraceLog::reset() {
   const std::lock_guard<std::mutex> lock(mu_);
   rows_.clear();
+  oldest_ = 0;
+  dropped_ = 0;
 }
 
 namespace {

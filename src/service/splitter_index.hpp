@@ -231,24 +231,33 @@ struct QueryTrace {
 };
 
 /// Thread-safe sink for QueryTrace rows: unlike PassTraceLog (main-thread
-/// only), queries complete on N serving threads concurrently.
+/// only), queries complete on N serving threads concurrently.  A resident
+/// server records every query, so the log is a fixed ring of the most recent
+/// kCapacity rows; older rows are overwritten and counted by dropped().
 class QueryTraceLog {
  public:
+  static constexpr std::size_t kCapacity = 65536;
+
   void record(QueryTrace trace);
+  /// The retained rows, oldest first.
   [[nodiscard]] std::vector<QueryTrace> snapshot() const;
+  /// Rows overwritten since construction or the last reset().
+  [[nodiscard]] std::uint64_t dropped() const;
   void reset();
 
  private:
   mutable std::mutex mu_;
-  std::vector<QueryTrace> rows_;
+  std::vector<QueryTrace> rows_;  // grows to kCapacity, then a ring
+  std::size_t oldest_ = 0;        // ring slot of the oldest row once full
+  std::uint64_t dropped_ = 0;
 };
 
 /// One QueryTrace as a JSON object (one line, no trailing newline).
 [[nodiscard]] std::string query_trace_json(const QueryTrace& t);
 
-/// Append the log's rows to `path` as JSON-lines (append, not truncate: the
-/// pass engine's rows for the build/refresh passes come first in the same
-/// file).  Returns false on any write failure.
+/// Append the log's retained rows, oldest first, to `path` as JSON-lines
+/// (append, not truncate: the pass engine's rows for the build/refresh passes
+/// come first in the same file).  Returns false on any write failure.
 bool append_query_trace_jsonl(const QueryTraceLog& log,
                               const std::string& path);
 

@@ -1,14 +1,15 @@
 // chunk_sort.hpp — deterministic sharded sorting of in-memory chunks.
 //
-// The CPU-parallel replacement for the single std::sort call at the heart of
-// run formation, segment sorting and partition leaves.  A chunk is cut into
+// The in-memory sort at the heart of run formation, segment sorting and
+// partition leaves, made CPU-parallel.  A chunk is cut into
 // `Context::sort_shards()` equal shards (a *geometry* decision — the cuts
 // depend only on the chunk length and the knob, never on thread count), the
 // shards are sorted concurrently on the context's CPU pool, and a loser-tree
 // merge emits the fully sorted sequence.
 //
 // Determinism: for a fixed shard count the output is a pure function of the
-// input — shard sorts are independent std::sort calls and the merge breaks
+// input — shard sorts are independent branchless_sort calls (a pure
+// function of their shard, sort/branchless_sort.hpp) and the merge breaks
 // ties by shard index.  Under a *total* order (the library's default
 // comparators: Record's operator<=>, std::less<int>) the sorted permutation
 // is unique, so any shard count reproduces the shards = 1 output bit for
@@ -23,6 +24,7 @@
 
 #include "em/context.hpp"
 #include "em/thread_pool.hpp"
+#include "sort/branchless_sort.hpp"
 #include "sort/loser_tree.hpp"
 
 namespace emsplit {
@@ -63,12 +65,11 @@ std::vector<std::size_t> sort_shards_in_place(Context& ctx, std::span<T> span,
                                               Less less) {
   std::vector<std::size_t> off = shard_offsets(span.size(), ctx.sort_shards());
   if (off.size() == 2) {
-    std::sort(span.begin(), span.end(), less);
+    branchless_sort(span, less);
     return off;
   }
   run_parallel(ctx.cpu_pool(), off.size() - 1, [&](std::size_t i) {
-    std::sort(span.begin() + static_cast<std::ptrdiff_t>(off[i]),
-              span.begin() + static_cast<std::ptrdiff_t>(off[i + 1]), less);
+    branchless_sort(span.subspan(off[i], off[i + 1] - off[i]), less);
   });
   return off;
 }

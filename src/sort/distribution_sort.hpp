@@ -31,6 +31,7 @@
 #include "em/em_vector.hpp"
 #include "em/stream.hpp"
 #include "partition/multi_partition.hpp"
+#include "sort/branchless_sort.hpp"
 #include "sort/chunk_sort.hpp"
 
 namespace emsplit {
@@ -91,7 +92,7 @@ void distribution_final_pass(Context& ctx, EmVector<T>& out,
   std::vector<T> buf(segment);
   // Scratch for the shard merge so the sorted group can stream out of a
   // contiguous array; when M has no room next to `buf`, the in-place
-  // std::sort path runs instead (a geometry decision, thread-independent).
+  // unsharded sort runs instead (a geometry decision, thread-independent).
   LaneScratch<T> scratch(ctx, ctx.sort_shards() > 1 ? segment : 0);
   std::size_t group_lo = 0;
   std::size_t group_hi = 0;
@@ -112,7 +113,7 @@ void distribution_final_pass(Context& ctx, EmVector<T>& out,
       store_range<T>(out, group_lo,
                      std::span<const T>(scratch.vec().data(), filled));
     } else {
-      std::sort(span.begin(), span.end(), less);
+      branchless_sort(span, less);
       store_range<T>(out, group_lo, span);
     }
     group_lo = group_hi;

@@ -23,6 +23,7 @@
 #include "em/pass_engine.hpp"
 #include "em/em_vector.hpp"
 #include "em/stream.hpp"
+#include "sort/branchless_sort.hpp"
 #include "sort/chunk_sort.hpp"
 #include "sort/loser_tree.hpp"
 #include "sort/replacement_selection.hpp"
@@ -79,7 +80,7 @@ std::pair<EmVector<T>, RunOffsets> form_runs(Context& ctx,
       const std::size_t len = std::min(chunk, input.size() - first);
       const auto span = std::span<T>(buf).subspan(0, len);
       load_range<T>(input, first, span);
-      std::sort(span.begin(), span.end(), less);
+      branchless_sort(span, less);
       store_range<T>(runs, first, span);
       offsets.push_back(first + len);
     }

@@ -454,6 +454,45 @@ TEST(SplitterServiceRefresh, RefreshPublishesNextEpochAndTracesQueries) {
   std::remove(src.c_str());
 }
 
+TEST(SplitterServiceTrace, RequestLogKeepsTheNewestRowsInABoundedRing) {
+  QueryTraceLog log;
+  const std::uint64_t total = 70000;
+  for (std::uint64_t i = 0; i < total; ++i) {
+    QueryTrace row;
+    row.kind = "rank";
+    row.value = i;
+    log.record(std::move(row));
+  }
+  const auto rows = log.snapshot();
+  ASSERT_EQ(rows.size(), QueryTraceLog::kCapacity);
+  ASSERT_EQ(rows.size(), 65536u);
+  EXPECT_EQ(log.dropped(), 4464u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(rows[i].value, total - rows.size() + i) << "row " << i;
+  }
+  EXPECT_EQ(rows.back().value, total - 1);
+
+  const std::string path = temp_path("ring_trace.jsonl");
+  std::remove(path.c_str());
+  ASSERT_TRUE(append_query_trace_jsonl(log, path));
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  char line[512];
+  std::size_t lines = 0;
+  std::string first;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (lines++ == 0) first = line;
+  }
+  std::fclose(f);
+  std::remove(path.c_str());
+  EXPECT_EQ(lines, rows.size());
+  EXPECT_NE(first.find("\"value\":4464,"), std::string::npos) << first;
+
+  log.reset();
+  EXPECT_TRUE(log.snapshot().empty());
+  EXPECT_EQ(log.dropped(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // The socket front end: line protocol over a Unix socket, served
 // concurrently, shut down by the SHUTDOWN verb.
