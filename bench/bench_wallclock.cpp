@@ -374,8 +374,7 @@ struct ServiceLeg {
   const char* name;
   const char* backend;      // "file" | "uring"
   std::size_t clients = 1;  // concurrent in-process client threads
-  std::size_t cache_blocks = 0;         // device-level block cache
-  std::size_t bucket_cache_blocks = 0;  // per-epoch decoded-bucket cache
+  std::size_t cache_blocks = 0;  // device-level block cache
   std::size_t batch = 0;  // >0: pipelined — queries per query_batch() call
 };
 
@@ -386,7 +385,6 @@ struct ServiceResult {
   std::uint64_t ios = 0;    // serial per-query I/O sum (deterministic)
   std::uint64_t checksum = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t bucket_hits = 0;  // timed passes' bucket-cache traffic
   std::uint64_t shed = 0;
   std::uint64_t epoch = 0;
   bool ok = true;
@@ -406,7 +404,7 @@ std::vector<SplitterServer::Request> service_mix(
     // Standing workloads are skewed: the paper's motivating applications
     // (percentile monitors, histogram dashboards) poll the same ranks over
     // and over.  75% of probes revisit a 32-record hot set; the rest walk
-    // the key space uniformly, so the bucket-cache legs face both a
+    // the key space uniformly, so the block-cache leg faces both a
     // cacheable core and a churning tail.
     const bool is_hot = (i % 8) < 6;
     const std::size_t ia = is_hot ? ((i * 13) % 32) * 9973 : i * 9973;
@@ -459,8 +457,8 @@ void mix_reply_checksum(std::uint64_t& h, const SplitterServer::Reply& rep) {
 
 ServiceResult run_service_leg(const ServiceLeg& leg, const std::string& src,
                               const std::vector<SplitterServer::Request>& mix) {
-  // 4 KiB blocks, M = 2048 blocks (the worker legs' geometry): at K = 256
-  // buckets over 1M records a rank pays ~16 block reads per bucket scan.
+  // 4 KiB blocks, M = 2048 blocks (the worker legs' geometry): a rank reads
+  // the one block between its two fences.
   const IoTuning tuning{.batch_blocks = 32, .queue_depth = 0, .async = false};
   const ModeSpec mode{leg.name,    tuning, CpuTuning{1, 1}, 0,     8,
                       leg.backend, leg.cache_blocks, 0,     false, 4096,
@@ -474,15 +472,14 @@ ServiceResult run_service_leg(const ServiceLeg& leg, const std::string& src,
   scfg.source_path = src;
   scfg.buckets = 256;
   scfg.queue_wait = 0.25;
-  scfg.bucket_cache_blocks = leg.bucket_cache_blocks;
   SplitterServer server(*rig.ctx, scfg);
   server.start();
   res.epoch = server.epoch();
 
-  // Serial verification pass: per-query reads are geometry (cache and
-  // bucket-cache hits are counted separately and base() strips them), so the
-  // sum is the leg's logical I/O figure and the answer stream hashes to its
-  // checksum.  The pass also warms the bucket cache, like production would.
+  // Serial verification pass: per-query reads are geometry (cache hits are
+  // counted separately and base() strips them), so the sum is the leg's
+  // logical I/O figure and the answer stream hashes to its checksum.  The
+  // pass also warms the block cache, like production would.
   std::uint64_t h = 1469598103934665603ull;
   IoStats sum;
   for (const auto& q : mix) {
@@ -490,7 +487,6 @@ ServiceResult run_service_leg(const ServiceLeg& leg, const std::string& src,
     res.ok = res.ok && rep.ok;
     sum += rep.io;
     res.cache_hits += rep.io.cache_hits;
-    res.bucket_hits += rep.io.bucket_hits;
     mix_reply_checksum(h, rep);
   }
   res.ios = sum.base().total();
@@ -503,7 +499,6 @@ ServiceResult run_service_leg(const ServiceLeg& leg, const std::string& src,
   for (int rep_i = 0; rep_i < 3; ++rep_i) {
     std::vector<std::vector<double>> lat(leg.clients);
     std::atomic<bool> all_ok{true};
-    std::atomic<std::uint64_t> pass_bucket_hits{0};
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::thread> clients;
     clients.reserve(leg.clients);
@@ -513,7 +508,6 @@ ServiceResult run_service_leg(const ServiceLeg& leg, const std::string& src,
         for (std::size_t i = c; i < mix.size(); i += leg.clients) {
           slice.push_back(mix[i]);
         }
-        std::uint64_t bh = 0;
         if (leg.batch > 0) {
           for (std::size_t i = 0; i < slice.size(); i += leg.batch) {
             const std::vector<SplitterServer::Request> chunk(
@@ -524,7 +518,6 @@ ServiceResult run_service_leg(const ServiceLeg& leg, const std::string& src,
                  server.query_batch(chunk, c + 1)) {
               if (!rep.ok) all_ok.store(false);
               lat[c].push_back(rep.seconds);
-              bh += rep.io.bucket_hits;
             }
           }
         } else {
@@ -532,14 +525,11 @@ ServiceResult run_service_leg(const ServiceLeg& leg, const std::string& src,
             const SplitterServer::Reply rep = server.query(q, c + 1);
             if (!rep.ok) all_ok.store(false);
             lat[c].push_back(rep.seconds);
-            bh += rep.io.bucket_hits;
           }
         }
-        pass_bucket_hits.fetch_add(bh);
       });
     }
     for (std::thread& t : clients) t.join();
-    res.bucket_hits += pass_bucket_hits.load();
     const std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
     if (!all_ok.load()) res.ok = false;
@@ -582,9 +572,7 @@ void run_service_bench(bench::JsonEmitter& json) {
   }
   const auto mix = service_mix(host);
 
-  // Half the 2048-block budget: the bucket cache's chunks are reclaim prey,
-  // so a cache sized at the full budget would be shed by every engine
-  // reservation and thrash instead of serving.
+  // Half the 2048-block budget for the block cache.
   constexpr std::size_t kServeCacheBlocks = 1024;
   constexpr std::size_t kServeBatch = 16;
   const ServiceLeg legs[] = {
@@ -592,9 +580,8 @@ void run_service_bench(bench::JsonEmitter& json) {
       {"serve4", "file", 4, 0},
       {"serve4+uring", "uring", 4, 0},
       {"serve4+cache", "uring", 4, kServeCacheBlocks},
-      {"serve4+bcache", "file", 4, 0, kServeCacheBlocks},
-      {"serve4+pipe", "file", 4, 0, 0, kServeBatch},
-      {"serve4+pipe+bcache", "file", 4, 0, kServeCacheBlocks, kServeBatch},
+      {"serve4+pipe", "file", 4, 0, kServeBatch},
+      {"serve4+pipe+uring", "uring", 4, 0, kServeBatch},
   };
 
   std::printf(
@@ -634,9 +621,6 @@ void run_service_bench(bench::JsonEmitter& json) {
     json.field("clients", static_cast<std::uint64_t>(leg.clients));
     json.field("cache_blocks", static_cast<std::uint64_t>(leg.cache_blocks));
     json.field("cache_hits", r.cache_hits);
-    json.field("bucket_cache_blocks",
-               static_cast<std::uint64_t>(leg.bucket_cache_blocks));
-    json.field("bucket_hits", r.bucket_hits);
     json.field("batch", static_cast<std::uint64_t>(leg.batch));
     json.field("buckets", std::uint64_t{256});
     json.field("queries", static_cast<std::uint64_t>(mix.size()));

@@ -48,13 +48,10 @@ struct IoStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  /// Service-layer bucket-scan cache traffic (service/splitter_index.hpp).
-  /// A bucket-cache hit is a *logical* read whose blocks were served from a
-  /// decoded per-epoch bucket payload instead of the device — like
-  /// `cache_hits`, the read is still counted in `reads` (per-query reads are
-  /// geometry, wherever the bytes came from), so base counts with the bucket
-  /// cache on equal the uncached run's; this field only explains the
-  /// wall-clock.  Counted in blocks, like everything else here.
+  /// Reads served from a decoded bucket payload (BucketScanCache).  No query
+  /// path consults that cache any more, so this stays 0; the field remains
+  /// because the benchmark harness reads it.  Like `cache_hits`, such reads
+  /// would still count in `reads`.
   std::uint64_t bucket_hits = 0;
 
   /// Combined I/O count — the quantity the paper's bounds are stated in.

@@ -29,6 +29,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Journal payload version of a published epoch: 2 = the extent is one
+/// sorted run, payload [2, K, bounds...].  Version 1 (unsorted buckets plus
+/// their maxima) is never served; recover() rebuilds instead.
+constexpr std::uint64_t kEpochPayloadVersion = 2;
+
 [[nodiscard]] double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -105,30 +110,12 @@ SplitterServer::SplitterServer(Context& ctx, Config cfg)
     { const std::lock_guard<std::mutex> lk(admit_mu_); }
     admit_cv_.notify_all();
   });
-  // Forward budget reclaims to the *current* epoch's bucket cache.  The
-  // registration outlives every cache (they turn over per epoch), so a
-  // reclaim can never race a cache destructor.
-  cache_reclaimer_id_ =
-      ctx_->budget().add_reclaimer([this](std::size_t need) -> std::size_t {
-        std::shared_ptr<BucketScanCache<Record>> cache;
-        {
-          const std::lock_guard<std::mutex> lock(mu_);
-          cache = bucket_cache_;
-        }
-        return cache ? cache->shed(need) : 0;
-      });
 }
 
 SplitterServer::~SplitterServer() {
   ctx_->budget().set_release_listener(nullptr);
-  ctx_->budget().remove_reclaimer(cache_reclaimer_id_);
-  std::shared_ptr<BucketScanCache<Record>> cache;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    cache = std::move(bucket_cache_);
-    current_.reset();  // deleter only signals; owner_ tears down below
-  }
-  if (cache) cache->retire();
+  const std::lock_guard<std::mutex> lock(mu_);
+  current_.reset();  // deleter only signals; owner_ tears down below
 }
 
 bool SplitterServer::persistent() const {
@@ -182,11 +169,6 @@ std::uint64_t SplitterServer::size() const {
   return current_ ? current_->size() : 0;
 }
 
-std::shared_ptr<BucketScanCache<Record>> SplitterServer::bucket_cache() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return bucket_cache_;
-}
-
 SplitterServer::Index SplitterServer::build_epoch() {
   if (cfg_.source_path.empty()) {
     throw std::invalid_argument("service: no source file configured");
@@ -199,22 +181,9 @@ SplitterServer::Index SplitterServer::build_epoch() {
   return Index::build(*ctx_, data, kk, cfg_.slack);
 }
 
-void SplitterServer::adopt_epoch(
-    std::unique_ptr<Index> built, std::uint64_t epoch,
-    std::shared_ptr<const Index>& out_snapshot, std::unique_ptr<Index>& out_owner,
-    std::shared_ptr<BucketScanCache<Record>>& out_cache) {
-  if (cfg_.bucket_cache_blocks > 0) {
-    const std::size_t bb = ctx_->block_bytes();
-    const std::size_t cap =
-        static_cast<std::size_t>(cfg_.bucket_cache_blocks) * bb;
-    out_cache = std::make_shared<BucketScanCache<Record>>(
-        ctx_->budget(), cap, std::min<std::size_t>(cap, 64 * bb), epoch);
-    if (out_cache->enabled()) {
-      built->attach_bucket_cache(out_cache);
-    } else {
-      out_cache.reset();  // budget declined the probe — run uncached
-    }
-  }
+void SplitterServer::adopt_epoch(std::unique_ptr<Index> built,
+                                 std::shared_ptr<const Index>& out_snapshot,
+                                 std::unique_ptr<Index>& out_owner) {
   // The snapshot's deleter only *signals* drain; out_owner keeps ownership
   // so the index (and any extent it owns) is destroyed on the publish
   // thread, preserving the single-allocator-thread rule.
@@ -233,7 +202,6 @@ void SplitterServer::publish(Index idx) {
     next = epoch_ + 1;
   }
   CheckpointJournal* jr = persistent() ? ctx_->checkpoint() : nullptr;
-  std::unique_ptr<Index> built;
   if (jr != nullptr) {
     const std::uint64_t fp = epoch_fingerprint(next);
     // A crash between a previous publish and its CURRENT bump leaves an
@@ -242,49 +210,30 @@ void SplitterServer::publish(Index idx) {
       ctx_->device().deallocate(jr->take_sort_extent(fp));
     }
     const std::uint64_t n = idx.size();
-    std::vector<std::uint64_t> bounds = idx.bounds();
-    std::vector<Record> uppers = idx.uppers();
-    std::vector<std::uint64_t> payload;
-    payload.reserve(2 + bounds.size() + 2 * uppers.size());
-    payload.push_back(1);  // payload version
-    payload.push_back(bounds.size() - 1);
-    payload.insert(payload.end(), bounds.begin(), bounds.end());
-    for (const Record& u : uppers) {
-      payload.push_back(u.key);
-      payload.push_back(u.payload);
-    }
+    std::vector<std::uint64_t> payload{kEpochPayloadVersion,
+                                       idx.buckets()};
+    payload.insert(payload.end(), idx.bounds().begin(), idx.bounds().end());
     BlockRange extent = idx.data().release_extent();
     // The crash-injection point: set_crash_after_publishes() fires inside
     // this append, after the journal entry lands but before CURRENT moves.
     jr->publish_sort_pass(fp, 1, extent, n, payload);
-    EmVector<Record> view =
-        EmVector<Record>::adopt(*ctx_, extent, n, /*owning=*/false);
-    built = std::make_unique<Index>(Index::adopt(
-        *ctx_, std::move(view), std::move(bounds), std::move(uppers)));
+    // The journal owns the extent now; the index keeps its tables and reads
+    // the extent through a non-owning view.
+    idx.data() = EmVector<Record>::adopt(*ctx_, extent, n, /*owning=*/false);
     write_current(next);
-  } else {
-    built = std::make_unique<Index>(std::move(idx));
   }
   std::shared_ptr<const Index> fresh;
   std::unique_ptr<Index> fresh_owner;
-  std::shared_ptr<BucketScanCache<Record>> fresh_cache;
-  adopt_epoch(std::move(built), next, fresh, fresh_owner, fresh_cache);
+  adopt_epoch(std::make_unique<Index>(std::move(idx)), fresh, fresh_owner);
 
   std::shared_ptr<const Index> old;
   std::unique_ptr<Index> old_owner;
-  std::shared_ptr<BucketScanCache<Record>> old_cache;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     old = std::exchange(current_, std::move(fresh));
     old_owner = std::exchange(owner_, std::move(fresh_owner));
-    old_cache = std::exchange(bucket_cache_, std::move(fresh_cache));
     epoch_ = next;
   }
-  // Retire the superseded epoch's cache the instant the swap lands: no new
-  // query can reach it (they snapshot the fresh epoch), and queries still in
-  // flight on the old epoch degrade to device scans — a stale payload can
-  // never be served under the new epoch.
-  if (old_cache) old_cache->retire();
   if (old) {
     // Queries in flight pinned the old snapshot; wait for the drain —
     // signalled by the snapshot deleter, never sleep-polled — then tear the
@@ -317,47 +266,49 @@ bool SplitterServer::recover() {
   const bool read_ok = std::fscanf(f, "%llu", &e) == 1;
   std::fclose(f);
   if (!read_ok || e == 0) return false;
-  const auto st = jr->resume_sort(epoch_fingerprint(e));
+  const std::uint64_t fp = epoch_fingerprint(e);
+  const auto st = jr->resume_sort(fp);
   if (!st) return false;
-
-  const std::vector<std::uint64_t>& p = st->offsets;
-  if (p.size() < 3 || p[0] != 1) {
-    throw std::runtime_error("service: corrupt epoch payload (header)");
-  }
-  const std::uint64_t kk = p[1];
-  if (kk == 0 || p.size() != 3 * kk + 3) {
-    throw std::runtime_error("service: corrupt epoch payload (shape)");
-  }
-  std::vector<std::uint64_t> bounds(
-      p.begin() + 2, p.begin() + 2 + static_cast<std::ptrdiff_t>(kk) + 1);
-  std::vector<Record> uppers(static_cast<std::size_t>(kk));
-  for (std::size_t i = 0; i < uppers.size(); ++i) {
-    uppers[i] = Record{p[3 + static_cast<std::size_t>(kk) + 2 * i],
-                       p[4 + static_cast<std::size_t>(kk) + 2 * i]};
-  }
-  if (bounds.back() != st->size) {
-    throw std::runtime_error("service: corrupt epoch payload (size)");
-  }
-  EmVector<Record> view = EmVector<Record>::adopt(
-      *ctx_, st->extent, static_cast<std::size_t>(st->size), /*owning=*/false);
-  auto built = std::make_unique<Index>(Index::adopt(
-      *ctx_, std::move(view), std::move(bounds), std::move(uppers)));
-  std::shared_ptr<const Index> snap;
-  std::unique_ptr<Index> own;
-  std::shared_ptr<BucketScanCache<Record>> cache;
-  adopt_epoch(std::move(built), e, snap, own, cache);
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    current_ = std::move(snap);
-    owner_ = std::move(own);
-    bucket_cache_ = std::move(cache);
-    epoch_ = e;
-  }
   // A crash mid-refresh may have left the *next* epoch published in the
   // journal with CURRENT still naming this one: reclaim the orphan.
   const std::uint64_t nfp = epoch_fingerprint(e + 1);
   if (jr->resume_sort(nfp)) {
     ctx_->device().deallocate(jr->take_sort_extent(nfp));
+  }
+
+  const std::vector<std::uint64_t>& p = st->offsets;
+  if (p.size() < 2) {
+    throw std::runtime_error("service: corrupt epoch payload (header)");
+  }
+  if (p[0] != kEpochPayloadVersion) {
+    // An older payload's buckets are not sorted inside, so this rank path
+    // cannot serve it: reclaim its extent and let start() rebuild as the
+    // next epoch, so epoch numbers never go backwards.
+    ctx_->device().deallocate(jr->take_sort_extent(fp));
+    const std::lock_guard<std::mutex> lock(mu_);
+    epoch_ = e;
+    return false;
+  }
+  const std::uint64_t kk = p[1];
+  if (kk == 0 || p.size() != kk + 3) {
+    throw std::runtime_error("service: corrupt epoch payload (shape)");
+  }
+  std::vector<std::uint64_t> bounds(p.begin() + 2, p.end());
+  if (bounds.back() != st->size) {
+    throw std::runtime_error("service: corrupt epoch payload (size)");
+  }
+  EmVector<Record> view = EmVector<Record>::adopt(
+      *ctx_, st->extent, static_cast<std::size_t>(st->size), /*owning=*/false);
+  std::shared_ptr<const Index> snap;
+  std::unique_ptr<Index> own;
+  adopt_epoch(std::make_unique<Index>(
+                  Index::adopt(*ctx_, std::move(view), std::move(bounds))),
+              snap, own);
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    current_ = std::move(snap);
+    owner_ = std::move(own);
+    epoch_ = e;
   }
   recovered_ = true;
   return true;
@@ -483,9 +434,6 @@ SplitterServer::Reply SplitterServer::query_on(
       }
       rep.ok = true;
       served_.fetch_add(1);
-      if (rep.io.bucket_hits > 0 && idx->bucket_cache()) {
-        rep.cache_epoch = idx->bucket_cache()->epoch();
-      }
     } catch (const BudgetExceeded& ex) {
       rep.admission = "shed";
       rep.error = ex.what();
@@ -631,15 +579,10 @@ std::string SplitterServer::handle_line(const std::string& line,
   std::string cmd;
   in >> cmd;
   if (cmd == "STATS") {
-    std::string out = "OK epoch=" + std::to_string(epoch()) +
-                      " n=" + std::to_string(size()) +
-                      " served=" + std::to_string(served_.load()) +
-                      " shed=" + std::to_string(shed_.load());
-    if (const auto cache = bucket_cache()) {
-      out += " bucket_hits=" + std::to_string(cache->hits()) +
-             " bucket_coalesced=" + std::to_string(cache->coalesced());
-    }
-    return out + "\n";
+    return "OK epoch=" + std::to_string(epoch()) +
+           " n=" + std::to_string(size()) +
+           " served=" + std::to_string(served_.load()) +
+           " shed=" + std::to_string(shed_.load()) + "\n";
   }
   if (cmd == "EPOCH") {
     return "OK " + std::to_string(epoch()) + "\n";
@@ -673,8 +616,7 @@ std::vector<std::string> SplitterServer::handle_batch(
     switch (parse_query(line, req, err)) {
       case ParseKind::kQuery:
         // Consecutive query lines share one pinned snapshot: every reply in
-        // the run carries the same epoch, and the bucket cache serves the
-        // whole run from one generation.
+        // the run carries the same epoch.
         if (!pinned) pinned = snapshot(pinned_epoch);
         outs.push_back(
             format_reply(req, query_on(pinned, pinned_epoch, req, client)));

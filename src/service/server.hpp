@@ -41,24 +41,16 @@
 //      (publish_sort_pass under an epoch-numbered fingerprint),
 //   2. the CURRENT file (state_dir/SERVICE_CURRENT) is bumped by
 //      write-to-temp + atomic rename,
-//   3. the snapshot pointer is swapped and the superseded epoch's
-//      BucketScanCache is retired atomically (no query can hit a stale
-//      epoch's payloads); queries in flight keep the old epoch alive until
-//      they drain — the publisher waits on a condition variable signalled by
-//      the snapshot's drain (never sleep-polling; retire_waits() counts the
-//      times it actually had to wait) — then its blocks are retired.
+//   3. the snapshot pointer is swapped; queries in flight keep the old
+//      epoch alive until they drain — the publisher waits on a condition
+//      variable signalled by the snapshot's drain (never sleep-polling;
+//      retire_waits() counts the times it actually had to wait) — then its
+//      blocks are retired.
 //
 // A crash between (1) and (2) — the injection point the kill tests use —
 // leaves the journal holding an orphaned next epoch: restart serves the
 // CURRENT epoch and reclaims the orphan's blocks.  Queries never block on a
 // refresh; they read whichever epoch is published when they snapshot.
-//
-// Bucket-scan caching: with Config::bucket_cache_blocks > 0 each published
-// epoch gets its own BucketScanCache (decoded bucket payloads, single-flight
-// scan sharing — see splitter_index.hpp).  The server forwards a MemoryBudget
-// reclaimer to the *current* epoch's cache, so refresh builds push the cache
-// out before any reservation is refused.  Geometry, never output: identical
-// answers and identical per-query base IoStats with the cache on or off.
 //
 // Threading: query()/query_batch() are safe from any thread.
 // start()/refresh() serialize on an internal mutex and (with the post-drain
@@ -91,10 +83,11 @@ class SplitterServer {
   struct Config {
     std::string source_path;    ///< record file each (re)build reads
     std::uint64_t buckets = 64; ///< index buckets K
-    double slack = 0.25;        ///< equi-depth slack for the build
+    double slack = 0.25;        ///< equi-depth tolerance, validated >= 0
+                                ///< (a sorted build meets any value exactly)
     double queue_wait = 0.05;   ///< seconds an over-budget query may queue
     std::string state_dir;      ///< CURRENT-file home ("" = ephemeral)
-    /// Per-epoch BucketScanCache capacity in blocks (0 = no bucket cache).
+    /// Accepted for compatibility, no effect: no query scans a bucket.
     std::uint64_t bucket_cache_blocks = 0;
   };
 
@@ -117,11 +110,6 @@ class SplitterServer {
     double seconds = 0;         ///< total latency, queueing included
     double queue_seconds = 0;   ///< admission wait
     std::uint64_t epoch = 0;    ///< epoch that served (or rejected) it
-    /// Epoch of the BucketScanCache that served this query's bucket_hits
-    /// (0 when none were served from the cache).  Always equals `epoch` —
-    /// the cache is keyed to the pinned snapshot — and the kill-mid-refresh
-    /// sweep asserts exactly that, per query.
-    std::uint64_t cache_epoch = 0;
   };
 
   SplitterServer(Context& ctx, Config cfg);
@@ -187,10 +175,6 @@ class SplitterServer {
 
   [[nodiscard]] QueryTraceLog& trace() noexcept { return trace_; }
 
-  /// The current epoch's bucket-scan cache (null when caching is off or no
-  /// epoch is published) — tests and STATS reporting.
-  [[nodiscard]] std::shared_ptr<BucketScanCache<Record>> bucket_cache() const;
-
  private:
   using Index = SplitterIndex<Record>;
   enum class ParseKind { kQuery, kOther, kBad };
@@ -203,12 +187,10 @@ class SplitterServer {
   void publish(Index idx);
   [[nodiscard]] bool recover();
   /// Wrap a built index in the snapshot shared_ptr (owner_ keeps ownership;
-  /// the shared deleter only signals drain) and attach a fresh bucket cache
-  /// for `epoch`; caller swaps under mu_.
-  void adopt_epoch(std::unique_ptr<Index> built, std::uint64_t epoch,
+  /// the shared deleter only signals drain); caller swaps under mu_.
+  void adopt_epoch(std::unique_ptr<Index> built,
                    std::shared_ptr<const Index>& out_snapshot,
-                   std::unique_ptr<Index>& out_owner,
-                   std::shared_ptr<BucketScanCache<Record>>& out_cache);
+                   std::unique_ptr<Index>& out_owner);
   void write_current(std::uint64_t epoch) const;
   [[nodiscard]] std::string current_path() const;
   /// One request answered against the given pinned snapshot: admission
@@ -254,10 +236,9 @@ class SplitterServer {
   std::atomic<std::uint64_t> admit_gen_{0};
   std::atomic<std::uint64_t> admit_waiters_{0};
 
-  mutable std::mutex mu_;  ///< guards owner_ / current_ / bucket_cache_ / epoch_
+  mutable std::mutex mu_;  ///< guards owner_ / current_ / epoch_
   std::unique_ptr<Index> owner_;  ///< owns the published index (teardown on the publish thread)
   std::shared_ptr<const Index> current_;
-  std::shared_ptr<BucketScanCache<Record>> bucket_cache_;
   std::uint64_t epoch_ = 0;
 
   std::mutex refresh_mu_;  ///< serializes start/refresh (allocator work)
@@ -266,7 +247,6 @@ class SplitterServer {
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> next_client_{0};
   std::atomic<std::uint16_t> tcp_port_{0};
-  std::uint64_t cache_reclaimer_id_ = 0;
   bool recovered_ = false;
 };
 

@@ -1,23 +1,26 @@
-// splitter_index.hpp — the resident query engine over a splitter partition.
+// splitter_index.hpp — the resident query engine over a sorted splitter run.
 //
 // The batch apps (range_count, histogram, top_k, load_balance) each rebuilt
 // their query machinery per invocation: one CLI job, one scan, exit.  The
-// paper's point — approximate splitters are *cheaper to build than a sort* —
-// only pays off when the partition they produce is then *queried*, so this
-// module turns one approx_partitioning result into a long-lived index:
+// paper's splitters pay off when the partition they produce is then
+// *queried*, so this module keeps one long-lived, searchable copy of the
+// data:
 //
-//   * build(): one approximate equi-depth partitioning (K buckets, sizes in
-//     [(1-slack), (1+slack)] N/K) plus one N/B scan recording each bucket's
-//     maximum.  The buckets are order-contiguous, so the maxima form a
-//     memory-resident routing table over the external data.
-//   * rank(x): binary-search the maxima for the one bucket that can contain
-//     x's rank boundary, then scan just that bucket — O(lg K) compares plus
-//     O((N/K)/B + 1) I/Os, *exact* (strict total order: every bucket before
-//     the straddled one lies entirely <= x, every bucket after entirely > x).
-//   * range_count(a, b]: two ranks.
+//   * build(): distribution_sort (the paper's multi-partition at every
+//     floor(M/3)-th rank, in-memory leaves already sorted and skipped by the
+//     final pass), then K exact-quantile buckets bounds[i] = floor(iN/K) and
+//     one N/B scan filling two resident tables: each bucket's maximum
+//     (uppers) and the first record of every s-th block (fences).  s is the
+//     smallest power of two for which the fence table fits in M/16; the
+//     table is charged to the MemoryBudget for the index's lifetime.
+//   * rank(x): fence upper_bound, one batched read of the <= s blocks between
+//     two fences, an in-block upper_bound — exact, <= s block reads.  A probe
+//     below the minimum or at/above the maximum is answered from the tables
+//     with zero reads.
+//   * range_count(a, b]: two ranks, <= 2s reads.
 //   * histogram(k <= K): regroup the index buckets — exact sizes, zero I/O.
-//   * top_k(k): whole tail (or head) buckets plus an nth_element over the
-//     single straddled bucket — O(k/B + (N/K)/B) I/Os.
+//   * top_k(k): the contiguous head (or tail) of the sorted run, already in
+//     order — the ceil(k/B) + 1 blocks it touches at most.
 //
 // Per-query I/O accounting: queries run concurrently from many client
 // threads, so a query cannot diff the device's shared counters.  Instead
@@ -29,16 +32,8 @@
 // service-layer analogue of "geometry, never output".
 //
 // Thread-safety: every query method is const and touches only immutable
-// index state plus the device's internally synchronized transfer path (and
-// the internally synchronized BucketScanCache when one is attached).  N
-// threads may query one index concurrently; build/adopt/attach_bucket_cache
-// are main-thread.
-//
-// BucketScanCache (below) is the query hot path's second cache level: decoded
-// bucket payloads keyed to one index epoch, single-flight loaded, retired
-// atomically when the next epoch publishes.  Hits are charged as the same
-// geometric reads a device scan would cost (IoStats::bucket_hits attribution),
-// so the cache is geometry, never output.
+// index state plus the device's internally synchronized transfer path.  N
+// threads may query one index concurrently; build/adopt are main-thread.
 #pragma once
 
 #include <algorithm>
@@ -58,13 +53,13 @@
 #include <utility>
 #include <vector>
 
-#include "core/partitioning.hpp"
 #include "core/spec.hpp"
 #include "em/block_device.hpp"
 #include "em/context.hpp"
 #include "em/em_vector.hpp"
 #include "em/io_stats.hpp"
 #include "em/stream.hpp"
+#include "sort/distribution_sort.hpp"
 
 namespace emsplit {
 
@@ -261,34 +256,22 @@ class QueryTraceLog {
 bool append_query_trace_jsonl(const QueryTraceLog& log,
                               const std::string& path);
 
-/// BucketScanCache — epoch-keyed decoded-bucket payload cache for the query
-/// hot path (docs/model.md, "The query hot path").
+/// BucketScanCache — an epoch-keyed, single-flight cache of decoded bucket
+/// payloads.  No query path consults it any more: a rank reads at most s
+/// blocks through the fence table, so there is no bucket scan left to cache,
+/// and SplitterIndex::attach_bucket_cache() is a no-op.  The class stays
+/// only because benchmark/src/serve.cpp compiles against it; it goes with
+/// the next change allowed to touch benchmark/.
 ///
-/// One instance serves exactly one published index epoch: the server creates
-/// it at publish time, attaches it to that epoch's SplitterIndex, and calls
-/// retire() the moment the *next* epoch publishes — so a payload can never
-/// outlive the epoch whose bytes it decodes, and a query that pinned epoch E
-/// only ever sees E's cache (the kill-mid-refresh sweep asserts cache-hit
-/// epoch == reply epoch per query).
-///
-/// Like BlockCache, the cache is invisible to the cost model: a hit is still
-/// charged as the bucket's geometric block reads (IoStats::reads), attributed
-/// separately as IoStats::bucket_hits, so per-query base I/O with the cache
-/// on is bit-identical to the uncached run.  Memory is chunk-reserved from
-/// the MemoryBudget (try_reserve, never reclaiming from peers) and shed back
-/// through shed() — the server registers a budget reclaimer that forwards to
-/// the current epoch's cache, so algorithm reservations (a refresh build)
-/// push the cache out before they are refused.
-///
-/// Scan sharing: lookup() is single-flight.  The first thread to miss a
-/// bucket becomes its *loader* (scans the device, publishes the payload);
-/// concurrent queries straddling the same bucket wait on the condvar and are
-/// served the loader's payload as a coalesced hit — one device scan, N
-/// answers, every query still charged its own geometric reads.
-///
-/// All methods are thread-safe (one internal mutex).  Payloads are handed
-/// out as shared_ptr so retirement/eviction never invalidates a scan in
-/// flight.
+/// One instance serves one index epoch.  lookup() is single-flight: the
+/// first thread to miss a bucket becomes its *loader* and must publish() or
+/// abort_load(); concurrent lookups of that bucket wait on the condvar and
+/// are then served the loader's payload as a coalesced hit.  retire()
+/// disables the cache for good, returns its budget chunks and wakes every
+/// waiter.  Memory is chunk-reserved from the MemoryBudget (try_reserve,
+/// never reclaiming from peers).  All methods are thread-safe (one internal
+/// mutex); payloads are handed out as shared_ptr so retirement or eviction
+/// never invalidates a reader.
 template <EmRecord T>
 class BucketScanCache {
  public:
@@ -399,22 +382,6 @@ class BucketScanCache {
     cv_.notify_all();
   }
 
-  /// MemoryBudget reclaimer entry (forwarded by the server): evict LRU
-  /// entries until whole chunks idle, return them, report bytes released.
-  std::size_t shed(std::size_t bytes_needed) {
-    const std::lock_guard<std::mutex> lk(mu_);
-    std::size_t freed = 0;
-    while (freed < bytes_needed && !chunks_.empty()) {
-      while (used_bytes_ + chunk_bytes_ > granted_bytes() &&
-             evict_tail_locked()) {
-      }
-      if (used_bytes_ + chunk_bytes_ > granted_bytes()) break;
-      chunks_.pop_back();
-      freed += chunk_bytes_;
-    }
-    return freed;
-  }
-
   [[nodiscard]] std::uint64_t hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);
   }
@@ -499,10 +466,11 @@ class SplitterIndex {
  public:
   SplitterIndex() = default;
 
-  /// Build the index over `data`: one approximate equi-depth partitioning
-  /// into `buckets` buckets (sizes within `slack` of N/K) plus one scan for
-  /// the per-bucket maxima.  `data` is consumed logically, not physically —
-  /// the index owns its own partitioned copy.
+  /// Build the index over `data`: distribution_sort into an owned copy, K
+  /// exact-quantile buckets, one scan for the bucket maxima and the fence
+  /// table.  `slack` is the equi-depth tolerance the caller asks for
+  /// (validated >= 0); a sorted build always meets it exactly, with bucket
+  /// sizes floor(N/K) or ceil(N/K).
   static SplitterIndex build(Context& ctx, const EmVector<T>& data,
                              std::uint64_t buckets, double slack = 0.25,
                              Less less = {}) {
@@ -513,40 +481,33 @@ class SplitterIndex {
     if (slack < 0.0) {
       throw std::invalid_argument("SplitterIndex: slack must be >= 0");
     }
-    auto part = approx_partitioning<T, Less>(
-        ctx, data, equi_depth_spec(n, buckets, slack), less);
-    return from_partitioning(ctx, std::move(part), less);
+    std::vector<std::uint64_t> bounds(static_cast<std::size_t>(buckets) + 1);
+    const std::uint64_t q = n / buckets, r = n % buckets;
+    for (std::uint64_t i = 0; i <= buckets; ++i) {
+      bounds[static_cast<std::size_t>(i)] = i * q + i * r / buckets;
+    }
+    return adopt(ctx, distribution_sort<T, Less>(ctx, data, less),
+                 std::move(bounds), less);
   }
 
-  /// Wrap an existing partitioning (bounds + partitioned data) as an index:
-  /// one scan computes the maxima.  The partitioning's data is adopted.
-  static SplitterIndex from_partitioning(Context& ctx,
-                                         ApproxPartitioning<T> part,
-                                         Less less = {}) {
-    SplitterIndex idx;
-    idx.ctx_ = &ctx;
-    idx.less_ = less;
-    idx.data_ = std::move(part.data);
-    idx.bounds_ = std::move(part.bounds);
-    idx.scan_uppers();
-    return idx;
-  }
-
-  /// Re-bind an index over storage recovered from the checkpoint journal:
-  /// `data` is a (typically non-owning) vector over the published extent,
-  /// `bounds`/`uppers` were decoded from the journal payload.  No I/O.
+  /// Bind an index over sorted `data` with bucket `bounds` (K+1 strictly
+  /// increasing offsets from 0 to N: no bucket is empty) — the build's tail,
+  /// and the recovery path over a journaled extent.  One N/B scan fills the
+  /// resident tables.
   static SplitterIndex adopt(Context& ctx, EmVector<T> data,
-                             std::vector<std::uint64_t> bounds,
-                             std::vector<T> uppers, Less less = {}) {
+                             std::vector<std::uint64_t> bounds, Less less = {}) {
+    if (bounds.size() < 2 || bounds.front() != 0 ||
+        bounds.back() != data.size() ||
+        std::adjacent_find(bounds.begin(), bounds.end(),
+                           std::greater_equal<>()) != bounds.end()) {
+      throw std::invalid_argument("SplitterIndex::adopt: malformed bounds");
+    }
     SplitterIndex idx;
     idx.ctx_ = &ctx;
     idx.less_ = less;
     idx.data_ = std::move(data);
     idx.bounds_ = std::move(bounds);
-    idx.uppers_ = std::move(uppers);
-    if (idx.bounds_.size() < 2 || idx.uppers_.size() + 1 != idx.bounds_.size()) {
-      throw std::invalid_argument("SplitterIndex::adopt: malformed bounds");
-    }
+    idx.scan_tables();
     return idx;
   }
 
@@ -561,37 +522,41 @@ class SplitterIndex {
   [[nodiscard]] const std::vector<T>& uppers() const noexcept {
     return uppers_;
   }
+  /// First record of every fence_stride()-th block of the sorted run.
+  [[nodiscard]] const std::vector<T>& fences() const noexcept {
+    return fences_;
+  }
+  /// Blocks between consecutive fences (s): the most blocks a rank reads.
+  [[nodiscard]] std::size_t fence_stride() const noexcept { return stride_; }
   [[nodiscard]] EmVector<T>& data() noexcept { return data_; }
   [[nodiscard]] const EmVector<T>& data() const noexcept { return data_; }
 
-  /// Attach this epoch's bucket-scan cache (main-thread, before queries are
-  /// served on this index); nullptr detaches.  The cache's own epoch tag is
-  /// the caller's responsibility to match the epoch this index serves.
-  void attach_bucket_cache(std::shared_ptr<BucketScanCache<T>> cache) {
-    bucket_cache_ = std::move(cache);
-  }
-  [[nodiscard]] const std::shared_ptr<BucketScanCache<T>>& bucket_cache()
-      const noexcept {
-    return bucket_cache_;
-  }
+  /// No-op: no query scans a bucket, so there is nothing to cache.  Kept for
+  /// source compatibility (see BucketScanCache).
+  void attach_bucket_cache(std::shared_ptr<BucketScanCache<T>>) {}
 
-  /// Exact rank of `x`: #{e in S : e <= x}.  Scans only the straddled
-  /// bucket; a probe above the global maximum (or below everything) costs
-  /// zero I/Os.
+  /// Exact rank of `x`: #{e in S : e <= x}.  Reads only the <= s blocks
+  /// between the two fences around x; a probe below the minimum or at/above
+  /// the maximum costs zero I/Os.
   [[nodiscard]] QueryResult<std::uint64_t> rank(const T& x) const {
-    // First bucket whose maximum is >= x: buckets before it are entirely
-    // <= x (their maxima are < x), buckets after entirely > x (their
-    // elements exceed this bucket's maximum, which is >= x).
-    const auto it =
-        std::lower_bound(uppers_.begin(), uppers_.end(), x,
-                         [&](const T& u, const T& v) { return less_(u, v); });
-    const auto j = static_cast<std::size_t>(it - uppers_.begin());
-    if (j == buckets()) return {size(), IoStats{}};
+    const std::uint64_t n = size();
+    if (less_(x, fences_.front())) return {0, IoStats{}};
+    if (!less_(x, uppers_.back())) return {n, IoStats{}};
+    // fences_[f-1] <= x < fences_[f]: every record before the group is
+    // <= x, every record from the next fence on is > x.
+    const auto f = static_cast<std::uint64_t>(
+        std::upper_bound(fences_.begin(), fences_.end(), x, less_) -
+        fences_.begin());
+    const std::uint64_t group = stride_ * data_.block_records();
+    const std::uint64_t lo = (f - 1) * group;
+    const std::uint64_t hi = std::min(n, f * group);
+    auto res = ctx_->budget().reserve((hi - lo) * sizeof(T));
+    std::vector<T> buf(static_cast<std::size_t>(hi - lo));
     QueryResult<std::uint64_t> out;
-    out.value = bounds_[j];
-    scan_bucket(j, [&](const T& e) {
-      if (!less_(x, e)) ++out.value;  // e <= x
-    }, out.io);
+    load(lo, buf, out.io);
+    out.value = lo + static_cast<std::uint64_t>(
+                         std::upper_bound(buf.begin(), buf.end(), x, less_) -
+                         buf.begin());
     return out;
   }
 
@@ -631,36 +596,18 @@ class SplitterIndex {
     return out;
   }
 
-  /// The k largest (or smallest) records, sorted ascending.  Whole tail
-  /// (head) buckets are appended outright; the one straddled bucket is
-  /// loaded and cut with nth_element.
+  /// The k largest (or smallest) records, sorted ascending: one contiguous
+  /// load of the sorted run's tail (head).
   [[nodiscard]] QueryResult<std::vector<T>> top_k(std::uint64_t k,
                                                   bool largest = true) const {
     const std::uint64_t n = size();
     if (k == 0 || k > n) {
       throw std::invalid_argument("SplitterIndex::top_k: k must be in [1, N]");
     }
-    QueryResult<std::vector<T>> out;
-    out.value.reserve(static_cast<std::size_t>(k));
     auto res = ctx_->budget().reserve(k * sizeof(T));
-    const std::uint64_t kk = buckets();
-    std::uint64_t need = k;
-    if (largest) {
-      std::size_t j = static_cast<std::size_t>(kk);
-      while (j > 0 && need >= bucket_size(j - 1)) {
-        --j;
-        need -= take_bucket(j, out.value, out.io);
-      }
-      if (need > 0) cut_bucket(j - 1, need, /*largest=*/true, out.value, out.io);
-    } else {
-      std::size_t j = 0;
-      while (j < kk && need >= bucket_size(j)) {
-        need -= take_bucket(j, out.value, out.io);
-        ++j;
-      }
-      if (need > 0) cut_bucket(j, need, /*largest=*/false, out.value, out.io);
-    }
-    std::sort(out.value.begin(), out.value.end(), less_);
+    QueryResult<std::vector<T>> out;
+    out.value.resize(static_cast<std::size_t>(k));
+    load(largest ? n - k : 0, out.value, out.io);
     return out;
   }
 
@@ -668,180 +615,69 @@ class SplitterIndex {
   /// parameter `k` where applicable) will reserve from the budget.  Upper
   /// bound by construction — the controller trades a little utilization for
   /// never admitting a query the engine's own reserve would then throw on.
+  /// The extra block covers load_range's staging buffer.
   [[nodiscard]] std::uint64_t footprint_bytes(QueryKind kind,
                                               std::uint64_t k = 0) const {
-    const std::uint64_t chunk =
-        chunk_blocks() * ctx_->block_bytes() + max_bucket_bytes();
+    const std::uint64_t block = ctx_->block_bytes();
     switch (kind) {
-      case QueryKind::kRank: return chunk;
-      case QueryKind::kRange: return chunk;  // the two rank scans are serial
+      case QueryKind::kRank:
+      case QueryKind::kRange:  // the two ranks are serial
+        return (stride_ + 1) * block;
       case QueryKind::kHistogram: return k * (sizeof(T) + 8);
-      case QueryKind::kTopK: return k * sizeof(T) + chunk;
+      case QueryKind::kTopK: return k * sizeof(T) + block;
     }
-    return chunk;
+    return (stride_ + 1) * block;
   }
 
  private:
-  [[nodiscard]] std::uint64_t bucket_size(std::size_t j) const {
-    return bounds_[j + 1] - bounds_[j];
-  }
-
-  [[nodiscard]] std::uint64_t max_bucket_bytes() const {
-    std::uint64_t mx = 0;
-    for (std::size_t j = 0; j < buckets(); ++j) {
-      mx = std::max(mx, bucket_size(j));
-    }
-    return mx * sizeof(T);
-  }
-
-  [[nodiscard]] std::size_t chunk_blocks() const {
-    return std::max<std::size_t>(1, ctx_->io_tuning().batch_blocks);
-  }
-
-  /// Visit every record of bucket `j`, serving from the epoch's bucket-scan
-  /// cache when one is attached, else scanning the device.  Per-query reads
-  /// are geometry either way: a cache hit charges the same block count the
-  /// device scan would (attributed as IoStats::bucket_hits), so base() sums
-  /// are identical with the cache on or off.  Cache misses make this thread
-  /// the bucket's single-flight loader: it scans the device once, answers
-  /// its own query from the scan, and publishes the decoded payload for the
-  /// bucket's waiters (scan sharing) and later queries.
-  template <typename Visit>
-  void scan_bucket(std::size_t j, Visit visit, IoStats& io) const {
-    const std::uint64_t lo = bounds_[j], hi = bounds_[j + 1];
-    if (lo == hi) return;
-    BucketScanCache<T>* cache = bucket_cache_.get();
-    if (cache != nullptr && cache->enabled()) {
-      auto l = cache->lookup(j);
-      if (l.payload != nullptr) {
-        const std::size_t per = data_.block_records();
-        const std::uint64_t nb = (hi - 1) / per - lo / per + 1;
-        io.reads += nb;
-        io.bucket_hits += nb;
-        for (const T& e : *l.payload) visit(e);
-        return;
-      }
-      if (l.loader) {
-        bool cached = false;
-        try {
-          // The payload buffer is optional state: charged like any other
-          // reservation, but a decline degrades to a plain scan instead of
-          // shedding the query.
-          auto res = ctx_->budget().try_reserve(bucket_size(j) * sizeof(T),
-                                                /*allow_reclaim=*/false);
-          if (res) {
-            auto payload = std::make_shared<std::vector<T>>();
-            payload->reserve(static_cast<std::size_t>(bucket_size(j)));
-            scan_bucket_device(j, [&](const T& e) {
-              payload->push_back(e);
-              visit(e);
-            }, io);
-            cache->publish(j, std::move(payload));
-            cached = true;
-          }
-        } catch (...) {
-          cache->abort_load(j);
-          throw;
-        }
-        if (cached) return;
-        cache->abort_load(j);
-      }
-      // Not a loader and no payload: the cache was retired mid-wait.
-    }
-    scan_bucket_device(j, visit, io);
-  }
-
-  /// The device path of scan_bucket: read bucket `j`'s blocks in counted
-  /// batches through the device (and so through the block cache); charges
-  /// the reads and the thread's cache hits to `io`.
-  template <typename Visit>
-  void scan_bucket_device(std::size_t j, Visit visit, IoStats& io) const {
-    const std::size_t per = data_.block_records();
-    const std::uint64_t lo = bounds_[j], hi = bounds_[j + 1];
-    if (lo == hi) return;
-    const std::size_t first_block = static_cast<std::size_t>(lo / per);
-    const std::size_t last_block = static_cast<std::size_t>((hi - 1) / per);
-    // Multi-block batches need records to tile blocks exactly.
-    const std::size_t batch =
-        data_.contiguous_layout() ? chunk_blocks() : std::size_t{1};
-    auto res = ctx_->budget().reserve(batch * ctx_->block_bytes());
-    std::vector<T> buf(batch * per);
+  /// Load records [first, first + out.size()) of the sorted run through the
+  /// device (and so through the block cache); charges the blocks touched to
+  /// `io` as reads, and the thread's cache hits among them.
+  void load(std::uint64_t first, std::span<T> out, IoStats& io) const {
+    const std::uint64_t per = data_.block_records();
+    const std::uint64_t blocks = (first + out.size() - 1) / per - first / per + 1;
     (void)BlockDevice::take_thread_cache_hits();  // clear stale tally
-    for (std::size_t b = first_block; b <= last_block;) {
-      const std::size_t nb = std::min(batch, last_block - b + 1);
-      data_.read_blocks(b, nb, std::span<T>(buf.data(), nb * per));
-      io.reads += nb;
-      // Records of this batch that fall inside [lo, hi).
-      const std::uint64_t base = static_cast<std::uint64_t>(b) * per;
-      const std::uint64_t r0 = std::max<std::uint64_t>(base, lo);
-      const std::uint64_t r1 = std::min<std::uint64_t>(base + nb * per, hi);
-      for (std::uint64_t r = r0; r < r1; ++r) {
-        visit(buf[static_cast<std::size_t>(r - base)]);
-      }
-      b += nb;
-    }
+    load_range<T>(data_, static_cast<std::size_t>(first), out);
     const std::uint64_t hits = BlockDevice::take_thread_cache_hits();
+    io.reads += blocks;
     io.cache_hits += hits;
-    io.cache_misses += io.reads >= hits ? io.reads - hits : 0;
+    io.cache_misses += blocks >= hits ? blocks - hits : 0;
   }
 
-  /// Append all of bucket `j` to `out`; returns its size.
-  std::uint64_t take_bucket(std::size_t j, std::vector<T>& out,
-                            IoStats& io) const {
-    scan_bucket(j, [&](const T& e) { out.push_back(e); }, io);
-    return bucket_size(j);
-  }
-
-  /// Append the `need` largest (or smallest) records of bucket `j`.
-  void cut_bucket(std::size_t j, std::uint64_t need, bool largest,
-                  std::vector<T>& out, IoStats& io) const {
-    std::vector<T> bucket;
-    bucket.reserve(static_cast<std::size_t>(bucket_size(j)));
-    auto res = ctx_->budget().reserve(bucket_size(j) * sizeof(T));
-    scan_bucket(j, [&](const T& e) { bucket.push_back(e); }, io);
-    const auto nth = static_cast<std::ptrdiff_t>(
-        largest ? bucket.size() - need : need);
-    std::nth_element(bucket.begin(), bucket.begin() + nth, bucket.end(),
-                     less_);
-    if (largest) {
-      out.insert(out.end(), bucket.begin() + nth, bucket.end());
-    } else {
-      out.insert(out.end(), bucket.begin(), bucket.begin() + nth);
-    }
-  }
-
-  /// One N/B scan recording each bucket's maximum (build-time only).
-  void scan_uppers() {
+  /// One N/B scan of the sorted run: each bucket's maximum, and the first
+  /// record of every s-th block, s the smallest power of two for which the
+  /// fence table fits in M/16.  The table's bytes stay charged to the
+  /// budget for the index's lifetime.
+  void scan_tables() {
+    const std::uint64_t n = size();
+    const std::uint64_t per = data_.block_records();
+    const std::uint64_t blocks = (n + per - 1) / per;
+    const std::uint64_t cap = ctx_->mem_bytes() / 16;
+    stride_ = 1;
+    while ((blocks + stride_ - 1) / stride_ * sizeof(T) > cap) stride_ *= 2;
+    const std::uint64_t nfences = (blocks + stride_ - 1) / stride_;
+    fences_charge_ = ctx_->budget().reserve(nfences * sizeof(T));
+    fences_.clear();
+    fences_.reserve(static_cast<std::size_t>(nfences));
     uppers_.assign(static_cast<std::size_t>(buckets()), T{});
+    const std::uint64_t group = stride_ * per;
     StreamReader<T> reader(data_);
     std::size_t j = 0;
-    std::uint64_t i = 0;
-    bool first_in_bucket = true;
-    while (!reader.done()) {
+    for (std::uint64_t i = 0; i < n; ++i) {
       const T e = reader.next();
-      while (i >= bounds_[j + 1]) {
-        ++j;
-        first_in_bucket = true;
-      }
-      if (first_in_bucket || less_(uppers_[j], e)) {
-        uppers_[j] = e;
-        first_in_bucket = false;
-      }
-      ++i;
-    }
-    // Empty buckets (possible under left-grounded padding) inherit the
-    // previous bucket's maximum so lower_bound routing stays monotone.
-    for (std::size_t b = 1; b < uppers_.size(); ++b) {
-      if (bounds_[b] == bounds_[b + 1]) uppers_[b] = uppers_[b - 1];
+      if (i % group == 0) fences_.push_back(e);
+      if (i + 1 == bounds_[j + 1]) uppers_[j++] = e;
     }
   }
 
   Context* ctx_ = nullptr;
   Less less_{};
-  EmVector<T> data_;                  ///< bucket-partitioned records
+  EmVector<T> data_;                   ///< the sorted run
   std::vector<std::uint64_t> bounds_;  ///< K+1 record offsets
   std::vector<T> uppers_;              ///< K per-bucket maxima (resident)
-  std::shared_ptr<BucketScanCache<T>> bucket_cache_;  ///< this epoch's, or null
+  std::vector<T> fences_;              ///< first record of every s-th block
+  std::uint64_t stride_ = 1;           ///< s, blocks per fence
+  MemoryReservation fences_charge_;    ///< the fence table's budget bytes
 };
 
 }  // namespace emsplit

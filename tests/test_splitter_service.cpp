@@ -190,6 +190,133 @@ TEST(SplitterIndexQueries, PerQueryIoSumsToDeviceDelta) {
 }
 
 // ---------------------------------------------------------------------------
+// The sorted index's geometry: fences every s blocks, exact quantile bounds.
+
+/// Blocks of `per` records that records [first, first + k) touch.
+std::uint64_t blocks_touched(std::uint64_t first, std::uint64_t k,
+                             std::uint64_t per) {
+  return (first + k - 1) / per - first / per + 1;
+}
+
+/// Rank every record and its +-1-key neighbours against the oracle; every
+/// rank reads at most s blocks, and one outside [min, max) reads none.
+void expect_exact_ranks(const SplitterIndex<Record>& idx,
+                        const std::vector<Record>& sorted_ref) {
+  const Record lo = sorted_ref.front();
+  const Record hi = sorted_ref.back();
+  std::vector<Record> probes{Record{0, 0}, Record{~0ULL, ~0ULL}};
+  for (const Record& r : sorted_ref) {
+    probes.push_back(r);
+    if (r.key > 0) probes.push_back(Record{r.key - 1, r.payload});
+    if (r.key < ~0ULL) probes.push_back(Record{r.key + 1, r.payload});
+  }
+  for (const Record& p : probes) {
+    const auto got = idx.rank(p);
+    ASSERT_EQ(got.value, oracle_rank(sorted_ref, p))
+        << "probe " << p.key << "/" << p.payload;
+    ASSERT_LE(got.io.reads, idx.fence_stride()) << "probe " << p.key;
+    if (p < lo || !(p < hi)) {
+      ASSERT_EQ(got.io.reads, 0u) << "probe " << p.key;
+    } else {
+      ASSERT_GT(got.io.reads, 0u) << "probe " << p.key;
+    }
+  }
+}
+
+TEST(SplitterIndexGeometry, EveryRankIsExactWithinOneFenceGroup) {
+  IndexFixture f;
+  EXPECT_EQ(f.idx.fence_stride(), 1u);  // 256 fences fit in M/16 = 8 KiB
+  EXPECT_EQ(f.idx.fences().size(), kRecords / 16);
+  expect_exact_ranks(f.idx, f.sorted_ref);
+}
+
+TEST(SplitterIndexGeometry, TinyMemoryForcesAWiderFenceStride) {
+  // M = 64 blocks: the 256-fence table (4 KiB) exceeds M/16 = 1 KiB, so
+  // fences sit every s = 4 blocks and a rank reads up to 4.
+  testutil::EmEnv env(kBlockBytes, 64);
+  const auto host = make_workload(Workload::kUniform, kRecords, 47);
+  const auto sorted_ref = sorted_copy(host);
+  auto data = materialize<Record>(env.ctx, std::span<const Record>(host));
+  const auto idx = SplitterIndex<Record>::build(env.ctx, data, kBuckets, 0.25);
+  EXPECT_EQ(idx.fence_stride(), 4u);
+  EXPECT_EQ(idx.fences().size(), kRecords / 16 / 4);
+  expect_exact_ranks(idx, sorted_ref);
+}
+
+TEST(SplitterIndexGeometry, SingleBucketLargerThanMemory) {
+  testutil::EmEnv env(kBlockBytes, 64);  // N = 64 KiB > M = 16 KiB
+  const auto host = make_workload(Workload::kUniform, kRecords, 48);
+  const auto sorted_ref = sorted_copy(host);
+  auto data = materialize<Record>(env.ctx, std::span<const Record>(host));
+  const auto idx = SplitterIndex<Record>::build(env.ctx, data, 1, 0.25);
+  EXPECT_EQ(idx.bounds(), (std::vector<std::uint64_t>{0, kRecords}));
+  ASSERT_EQ(idx.uppers().size(), 1u);
+  EXPECT_EQ(idx.uppers()[0], sorted_ref.back());
+  EXPECT_EQ(idx.histogram(1).value.sizes,
+            (std::vector<std::uint64_t>{kRecords}));
+  expect_exact_ranks(idx, sorted_ref);
+}
+
+TEST(SplitterIndexGeometry, BucketsThatDoNotDivideNAreExactQuantiles) {
+  constexpr std::size_t kN = 4001;
+  constexpr std::uint64_t kK = 7;
+  testutil::EmEnv env(kBlockBytes, kMemBlocks);
+  const auto host = make_workload(Workload::kUniform, kN, 49);
+  const auto sorted_ref = sorted_copy(host);
+  auto data = materialize<Record>(env.ctx, std::span<const Record>(host));
+  const auto idx = SplitterIndex<Record>::build(env.ctx, data, kK, 0.0);
+  ASSERT_EQ(idx.bounds().size(), kK + 1);
+  for (std::uint64_t i = 0; i <= kK; ++i) {
+    EXPECT_EQ(idx.bounds()[i], i * kN / kK) << "bound " << i;
+  }
+  for (std::uint64_t i = 0; i < kK; ++i) {
+    EXPECT_EQ(idx.uppers()[i], sorted_ref[idx.bounds()[i + 1] - 1])
+        << "bucket " << i;
+  }
+  expect_exact_ranks(idx, sorted_ref);
+}
+
+TEST(SplitterIndexGeometry, TopKReadsExactlyTheBlocksItTouches) {
+  constexpr std::size_t kN = 4001;  // the tail block is partial
+  constexpr std::uint64_t kPer = kBlockBytes / sizeof(Record);
+  testutil::EmEnv env(kBlockBytes, kMemBlocks);
+  const auto host = make_workload(Workload::kUniform, kN, 50);
+  const auto sorted_ref = sorted_copy(host);
+  auto data = materialize<Record>(env.ctx, std::span<const Record>(host));
+  const auto idx = SplitterIndex<Record>::build(env.ctx, data, kBuckets, 0.25);
+  for (const std::uint64_t k : {std::uint64_t{1}, kPer - 1, kPer, kPer + 1,
+                                std::uint64_t{kN}}) {
+    for (const bool largest : {true, false}) {
+      env.dev.reset_stats();
+      const auto got = idx.top_k(k, largest);
+      const std::uint64_t first = largest ? kN - k : 0;
+      const std::vector<Record> want(
+          sorted_ref.begin() + static_cast<std::ptrdiff_t>(first),
+          sorted_ref.begin() + static_cast<std::ptrdiff_t>(first + k));
+      EXPECT_EQ(got.value, want) << "k=" << k << " largest=" << largest;
+      EXPECT_EQ(got.io.reads, blocks_touched(first, k, kPer))
+          << "k=" << k << " largest=" << largest;
+      EXPECT_EQ(env.dev.stats().base().reads, got.io.reads)
+          << "k=" << k << " largest=" << largest;
+    }
+  }
+}
+
+TEST(SplitterIndexGeometry, FenceTableIsChargedForTheIndexLifetime) {
+  testutil::EmEnv env(kBlockBytes, kMemBlocks);
+  const auto host = make_workload(Workload::kUniform, kRecords, 51);
+  auto data = materialize<Record>(env.ctx, std::span<const Record>(host));
+  const std::size_t before = env.ctx.budget().used();
+  {
+    const auto idx =
+        SplitterIndex<Record>::build(env.ctx, data, kBuckets, 0.25);
+    EXPECT_EQ(env.ctx.budget().used() - before,
+              idx.fences().size() * sizeof(Record));
+  }
+  EXPECT_EQ(env.ctx.budget().used(), before);
+}
+
+// ---------------------------------------------------------------------------
 // The service: concurrent clients, every backend, cache on and off.
 
 enum class ServiceBackend { kMem, kFile, kUring };
@@ -666,6 +793,101 @@ TEST(SplitterServiceRecovery, KillMidRefreshServesLastPublishedEpoch) {
   EXPECT_TRUE(refresh_completed)
       << "refresh never outran the sweep; raise the append cap";
 
+  std::remove(dev_path.c_str());
+  std::remove((dev_path + ".sums").c_str());
+  std::remove(jpath.c_str());
+  std::remove(current.c_str());
+  ::rmdir(state_dir.c_str());
+  std::remove(src.c_str());
+}
+
+// A version-1 journal entry (unsorted buckets plus their maxima, from before
+// the index became one sorted run) must not be served: start() rebuilds
+// from the source, continues the epoch numbering and answers exactly.
+TEST(SplitterServiceRecovery, VersionOnePayloadIsRebuiltNotServed) {
+  const auto host = make_workload(Workload::kUniform, kRecords, 52);
+  const auto sorted_ref = sorted_copy(host);
+  const std::string src = temp_path("v1_src.rec");
+  write_record_file(src, host);
+  const std::string state_dir = temp_path("v1_state");
+  ASSERT_EQ(::mkdir(state_dir.c_str(), 0755), 0);
+  const std::string current = state_dir + "/SERVICE_CURRENT";
+  const std::string dev_path = temp_path("v1.dev");
+  const std::string jpath = temp_path("v1.ckpt");
+
+  {
+    FileBlockDevice dev(dev_path, kBlockBytes);
+    CheckpointJournal journal(dev, jpath);
+    Context ctx(dev, kMemBlocks * kBlockBytes);
+    ctx.set_checkpoint(&journal);
+
+    // Epoch 1 as the old layout published it: the source order, unsorted,
+    // with payload [1, K, bounds..., (key, payload) per bucket maximum].
+    // The fingerprint mirrors SplitterServer's epoch fingerprint.
+    std::uint64_t fp = fingerprint_mix(kFingerprintSeed, 0x53504C4954535256ULL);
+    fp = fingerprint_mix(fp, kBuckets);
+    fp = fingerprint_mix(fp, kBlockBytes);
+    fp = fingerprint_mix(fp, 1);
+    std::vector<std::uint64_t> payload{1, kBuckets};
+    for (std::uint64_t i = 0; i <= kBuckets; ++i) {
+      payload.push_back(i * kRecords / kBuckets);
+    }
+    for (std::uint64_t i = 0; i < kBuckets; ++i) {
+      payload.push_back(~0ULL);
+      payload.push_back(~0ULL);
+    }
+    auto unsorted = materialize<Record>(ctx, std::span<const Record>(host));
+    journal.publish_sort_pass(fp, 1, unsorted.release_extent(), kRecords,
+                              payload);
+    std::FILE* f = std::fopen(current.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "1\n");
+    std::fclose(f);
+    ASSERT_TRUE(journal.resume_sort(fp).has_value());
+
+    SplitterServer::Config cfg;
+    cfg.source_path = src;
+    cfg.buckets = kBuckets;
+    cfg.state_dir = state_dir;
+    {
+      SplitterServer server(ctx, cfg);
+      ASSERT_NO_THROW(server.start());
+      EXPECT_FALSE(server.recovered());
+      EXPECT_EQ(server.epoch(), 2u);
+      EXPECT_FALSE(journal.resume_sort(fp).has_value())
+          << "the version-1 extent was not reclaimed";
+
+      for (std::size_t r = 0; r < kRecords; r += 61) {
+        SplitterServer::Request q;
+        q.kind = QueryKind::kRank;
+        q.lo = sorted_ref[r];
+        const auto rep = server.query(q);
+        ASSERT_TRUE(rep.ok) << rep.error;
+        EXPECT_EQ(rep.value, r + 1) << "rank " << r;
+      }
+      SplitterServer::Request range;
+      range.kind = QueryKind::kRange;
+      range.lo = sorted_ref[100];
+      range.hi = sorted_ref[3000];
+      EXPECT_EQ(server.query(range).value, 2900u);
+      for (const bool largest : {true, false}) {
+        SplitterServer::Request top;
+        top.kind = QueryKind::kTopK;
+        top.k = 37;
+        top.largest = largest;
+        const auto rep = server.query(top);
+        ASSERT_TRUE(rep.ok) << rep.error;
+        const std::size_t first = largest ? kRecords - 37 : 0;
+        EXPECT_EQ(rep.records,
+                  std::vector<Record>(
+                      sorted_ref.begin() + static_cast<std::ptrdiff_t>(first),
+                      sorted_ref.begin() +
+                          static_cast<std::ptrdiff_t>(first + 37)))
+            << "largest=" << largest;
+      }
+    }
+    ctx.set_checkpoint(nullptr);
+  }
   std::remove(dev_path.c_str());
   std::remove((dev_path + ".sums").c_str());
   std::remove(jpath.c_str());

@@ -45,12 +45,11 @@ With --service the tool gates the resident-server legs of the latest entry
 must report identical per-query I/O sums and identical answer checksums
 (clients, backend and cache are load and geometry, never output — hard
 failures at any threshold), no leg may shed a query or fail a check
-(shed == 0, ok true), cache-backed legs must report cache_hits > 0 —
-likewise bucket_cache_blocks > 0 legs must report bucket_hits > 0 — and
+(shed == 0, ok true), cache-backed legs must report cache_hits > 0, and
 every leg's wall-clock must stay within --threshold of the single-client
-file baseline (clients == 1, file backend, no cache, no bucket cache, no
-pipelined batch; on a single-core host concurrency cannot win, the gate
-only forbids contention costing more than scheduling overhead should).
+file baseline (clients == 1, file backend, no cache, no pipelined batch;
+on a single-core host concurrency cannot win, the gate only forbids
+contention costing more than scheduling overhead should).
 Legs on a fallback uring backend (uring_native false) keep the hard gates
 but waive the wall-clock check.
 
@@ -294,7 +293,6 @@ def service_gate(entries, threshold):
     base = next((r for r in rows
                  if r.get("clients") == 1 and r.get("backend") == "file"
                  and r.get("cache_blocks", 0) == 0
-                 and r.get("bucket_cache_blocks", 0) == 0
                  and r.get("batch", 0) == 0), None)
     if base is None:
         fail("no single-client file baseline leg")
@@ -319,10 +317,6 @@ def service_gate(entries, threshold):
         if r.get("cache_blocks", 0) > 0 and r.get("cache_hits", 0) <= 0:
             fail(f"service/{mode}: cache_blocks="
                  f"{r.get('cache_blocks')} but cache_hits=0")
-        if (r.get("bucket_cache_blocks", 0) > 0
-                and r.get("bucket_hits", 0) <= 0):
-            fail(f"service/{mode}: bucket_cache_blocks="
-                 f"{r.get('bucket_cache_blocks')} but bucket_hits=0")
         if r is base:
             print(f"    ok service/{mode}: baseline {bs:.3f}s "
                   f"({float(r.get('qps', 0)):.0f} qps, "

@@ -25,14 +25,14 @@
 // serve keeps a SplitterIndex resident and answers the line protocol on a
 // Unix-domain socket (RANK / RANGE / HIST / TOPK / STATS / EPOCH / REFRESH /
 // SHUTDOWN); --listen=host:port opens the same protocol on TCP beside it
-// (port 0 binds an ephemeral port, reported on the readiness line), and
-// --bucket-cache-blocks gives each epoch a decoded-bucket cache.  query is
-// the thin client: <target> is a Unix socket path, or host:port for TCP;
-// --repeat=N sends the request N times and --pipeline sends them all before
-// reading any reply (the server answers batches against one pinned
-// snapshot).  With --checkpoint-dir the service's epoch publishes are
-// crash-consistent: kill it mid-refresh, restart, and it serves the last
-// published epoch (the CI smoke leg's assertion).
+// (port 0 binds an ephemeral port, reported on the readiness line);
+// --slack and --bucket-cache-blocks are accepted but change nothing (the
+// index is a sorted run).  query is the thin client: <target> is a Unix
+// socket path, or host:port for TCP; --repeat=N sends the request N times
+// and --pipeline keeps up to 64 of them in flight (the server answers each
+// batch against one pinned snapshot).  With --checkpoint-dir the service's
+// epoch publishes are crash-consistent: kill it mid-refresh, restart, and
+// it serves the last published epoch (the CI smoke leg's assertion).
 //
 // --threads is pure execution width: for any value, the reported I/O cost
 // and the output bytes are identical (the determinism contract in
@@ -384,9 +384,16 @@ int cmd_query(const Options&, int argc, char** argv) {
     std::fprintf(stderr, "error: cannot connect to %s\n", target.c_str());
     return 1;
   }
-  std::FILE* f = ::fdopen(fd, "r+");
-  if (f == nullptr) {
+  // One stream per direction: a single read-write stdio stream may drop
+  // read-ahead bytes when it switches from reading back to writing.
+  std::FILE* in = ::fdopen(fd, "r");
+  if (in == nullptr) {
     ::close(fd);
+    return 1;
+  }
+  std::FILE* out = ::fdopen(::dup(fd), "w");
+  if (out == nullptr) {
+    std::fclose(in);
     return 1;
   }
 
@@ -394,7 +401,7 @@ int cmd_query(const Options&, int argc, char** argv) {
   // Returns 0 = OK, 3 = SHED (structured admission reject), 1 = error.
   const auto read_reply = [&](bool print) {
     char buf[4096];
-    if (std::fgets(buf, sizeof(buf), f) == nullptr) return 1;
+    if (std::fgets(buf, sizeof(buf), in) == nullptr) return 1;
     if (print) std::fputs(buf, stdout);
     int rc = 1;
     if (std::strncmp(buf, "OK", 2) == 0) {
@@ -403,7 +410,7 @@ int cmd_query(const Options&, int argc, char** argv) {
       rc = 3;
     }
     if (rc == 0 && (word == "HIST" || word == "TOPK")) {
-      while (std::fgets(buf, sizeof(buf), f) != nullptr) {
+      while (std::fgets(buf, sizeof(buf), in) != nullptr) {
         if (print) std::fputs(buf, stdout);
         if (std::strcmp(buf, "END\n") == 0) break;
       }
@@ -411,36 +418,34 @@ int cmd_query(const Options&, int argc, char** argv) {
     return rc;
   };
 
+  // Serial mode keeps one request in flight; pipelined mode keeps up to
+  // kPipelineDepth, writing while fewer are outstanding and otherwise
+  // reading one reply.  The window bounds the unread replies, so the
+  // client never blocks on a write while the server blocks on its replies.
+  constexpr std::uint64_t kPipelineDepth = 64;
+  const std::uint64_t window = pipeline ? kPipelineDepth : 1;
   const bool print_replies = repeat == 1;
   std::uint64_t ok = 0, shed = 0, err = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  if (pipeline) {
-    // Pipelined mode: every request on the wire before any reply is read —
-    // the server parses them as one batch and answers in request order.
-    for (std::uint64_t i = 0; i < repeat; ++i) std::fputs(line.c_str(), f);
-    std::fflush(f);
-    for (std::uint64_t i = 0; i < repeat; ++i) {
-      switch (read_reply(print_replies)) {
-        case 0: ++ok; break;
-        case 3: ++shed; break;
-        default: ++err; break;
-      }
+  for (std::uint64_t sent = 0, answered = 0; answered < repeat;) {
+    if (sent < repeat && sent - answered < window) {
+      std::fputs(line.c_str(), out);
+      ++sent;
+      continue;
     }
-  } else {
-    for (std::uint64_t i = 0; i < repeat; ++i) {
-      std::fputs(line.c_str(), f);
-      std::fflush(f);
-      switch (read_reply(print_replies)) {
-        case 0: ++ok; break;
-        case 3: ++shed; break;
-        default: ++err; break;
-      }
+    std::fflush(out);
+    switch (read_reply(print_replies)) {
+      case 0: ++ok; break;
+      case 3: ++shed; break;
+      default: ++err; break;
     }
+    ++answered;
   }
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  std::fclose(f);  // closes fd too
+  std::fclose(out);
+  std::fclose(in);
   if (repeat > 1) {
     std::printf("[query] %" PRIu64 " requests (%s): ok=%" PRIu64 " shed=%"
                 PRIu64 " err=%" PRIu64 " seconds=%.6f qps=%.0f\n",
