@@ -5,10 +5,11 @@
 // A latency log too large for memory needs its SLO percentiles every
 // reporting period.  The batch answer (one multi-selection per period)
 // re-reads the whole log each tick; the service answer builds a
-// SplitterIndex once — cheaper than a sort — and then each tick's
-// questions ("what percentile is the 250us SLO at?", "who are the worst
-// ten?") touch only the one bucket that straddles the answer.  This
-// example measures both.
+// SplitterIndex once — a distribution-sorted run with a resident fence
+// table — and then each tick's questions cost a few block reads: "what
+// percentile is the 250us SLO at?" is a rank, at most s reads (s blocks
+// per fence), and "who are the worst ten?" reads one contiguous tail of the
+// run.  This example measures both.
 #include <cinttypes>
 #include <cstdio>
 
@@ -41,8 +42,7 @@ int main(int argc, char** argv) {
 
   // --- Resident monitor: build the index once, query it every tick. ------
   dev.reset_stats();
-  auto idx = SplitterIndex<Record>::build(ctx, log, /*buckets=*/64,
-                                          /*slack=*/0.25);
+  auto idx = SplitterIndex<Record>::build(ctx, log, /*buckets=*/64);
   const auto build_ios = dev.stats().total();
 
   std::printf("monitoring %zu log records (index: %" PRIu64

@@ -15,9 +15,10 @@
 // Reservations are internally synchronized: the block cache
 // (em/block_cache.hpp) charges its entries from I/O worker threads while the
 // main thread reserves algorithm state.  A *reclaimer* callback lets a
-// scavenging consumer (the block cache) hold otherwise-idle budget: when a reservation finds the budget short, the
-// registered reclaimers are asked — outside the budget lock, in registration
-// order — to give bytes back before the reservation is refused.
+// scavenging consumer (the block cache) hold otherwise-idle budget: when a
+// reservation finds the budget short, the registered reclaimers are asked —
+// outside the budget lock, in registration order — to give bytes back before
+// the reservation is refused.
 //
 // A *release listener* is the inverse hook: a single callback invoked after
 // every release() that frees bytes, outside the budget lock.  The splitter

@@ -178,7 +178,7 @@ SplitterServer::Index SplitterServer::build_epoch() {
     throw std::invalid_argument("service: source file is empty");
   }
   const std::uint64_t kk = std::min<std::uint64_t>(cfg_.buckets, data.size());
-  return Index::build(*ctx_, data, kk, cfg_.slack);
+  return Index::build(*ctx_, data, kk);
 }
 
 void SplitterServer::adopt_epoch(std::unique_ptr<Index> built,

@@ -83,8 +83,6 @@ class SplitterServer {
   struct Config {
     std::string source_path;    ///< record file each (re)build reads
     std::uint64_t buckets = 64; ///< index buckets K
-    double slack = 0.25;        ///< equi-depth tolerance, validated >= 0
-                                ///< (a sorted build meets any value exactly)
     double queue_wait = 0.05;   ///< seconds an over-budget query may queue
     std::string state_dir;      ///< CURRENT-file home ("" = ephemeral)
     /// Accepted for compatibility, no effect: no query scans a bucket.

@@ -37,16 +37,11 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -256,209 +251,17 @@ class QueryTraceLog {
 bool append_query_trace_jsonl(const QueryTraceLog& log,
                               const std::string& path);
 
-/// BucketScanCache — an epoch-keyed, single-flight cache of decoded bucket
-/// payloads.  No query path consults it any more: a rank reads at most s
-/// blocks through the fence table, so there is no bucket scan left to cache,
-/// and SplitterIndex::attach_bucket_cache() is a no-op.  The class stays
-/// only because benchmark/src/serve.cpp compiles against it; it goes with
-/// the next change allowed to touch benchmark/.
-///
-/// One instance serves one index epoch.  lookup() is single-flight: the
-/// first thread to miss a bucket becomes its *loader* and must publish() or
-/// abort_load(); concurrent lookups of that bucket wait on the condvar and
-/// are then served the loader's payload as a coalesced hit.  retire()
-/// disables the cache for good, returns its budget chunks and wakes every
-/// waiter.  Memory is chunk-reserved from the MemoryBudget (try_reserve,
-/// never reclaiming from peers).  All methods are thread-safe (one internal
-/// mutex); payloads are handed out as shared_ptr so retirement or eviction
-/// never invalidates a reader.
+/// BucketScanCache — a compatibility shim with nothing behind it.  A rank
+/// reads at most s blocks through the fence table, so no query scans a
+/// bucket and there is nothing to cache; SplitterIndex::attach_bucket_cache()
+/// ignores what it is handed.  Only the constructor is left, because
+/// benchmark/src/serve.cpp compiles against it; the class goes with the next
+/// change allowed to touch benchmark/.
 template <EmRecord T>
 class BucketScanCache {
  public:
-  /// What lookup() resolved to.  Exactly one of three shapes: `payload` set
-  /// (hit — `coalesced` when a concurrent loader produced it while we
-  /// waited), `loader` true (caller must scan the device and then publish()
-  /// or abort_load()), or neither (cache disabled/retired: plain device
-  /// scan, no cache interaction).
-  struct Lookup {
-    std::shared_ptr<const std::vector<T>> payload;
-    bool loader = false;
-    bool coalesced = false;
-  };
-
-  /// A cache of up to `capacity_bytes` of decoded payloads for `epoch`,
-  /// charged against `budget` in `chunk_bytes` reservations.  If the budget
-  /// cannot spare even one chunk now, the cache disables itself permanently
-  /// (queries then scan the device, answers unchanged).
-  BucketScanCache(MemoryBudget& budget, std::size_t capacity_bytes,
-                  std::size_t chunk_bytes, std::uint64_t epoch)
-      : budget_(budget),
-        capacity_bytes_(capacity_bytes),
-        chunk_bytes_(std::max<std::size_t>(
-            1, std::min(chunk_bytes, std::max<std::size_t>(1, capacity_bytes)))),
-        epoch_(epoch) {
-    if (capacity_bytes_ == 0) return;
-    auto probe = budget_.try_reserve(chunk_bytes_, /*allow_reclaim=*/false);
-    if (!probe) return;
-    chunks_.push_back(std::move(*probe));
-    enabled_.store(true, std::memory_order_release);
-  }
-
-  BucketScanCache(const BucketScanCache&) = delete;
-  BucketScanCache& operator=(const BucketScanCache&) = delete;
-
-  [[nodiscard]] bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_acquire);
-  }
-  /// The index epoch this cache serves — fixed for life; hits can only ever
-  /// carry this epoch.
-  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-
-  /// Single-flight bucket lookup (see Lookup).  May block while another
-  /// thread loads the same bucket.
-  [[nodiscard]] Lookup lookup(std::size_t bucket) {
-    std::unique_lock<std::mutex> lk(mu_);
-    bool waited = false;
-    for (;;) {
-      if (!enabled_.load(std::memory_order_relaxed)) return {};
-      const auto it = map_.find(bucket);
-      if (it != map_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (waited) coalesced_.fetch_add(1, std::memory_order_relaxed);
-        return {it->second->payload, /*loader=*/false, /*coalesced=*/waited};
-      }
-      if (loading_.insert(bucket).second) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return {nullptr, /*loader=*/true, /*coalesced=*/false};
-      }
-      waited = true;
-      cv_.wait(lk);
-    }
-  }
-
-  /// Loader hand-off: insert the decoded payload (evicting LRU entries /
-  /// growing by chunks as the budget allows — on no room the payload is
-  /// simply dropped) and wake the bucket's waiters.
-  void publish(std::size_t bucket, std::shared_ptr<const std::vector<T>> payload) {
-    {
-      const std::lock_guard<std::mutex> lk(mu_);
-      loading_.erase(bucket);
-      const std::size_t bytes = payload->size() * sizeof(T);
-      if (enabled_.load(std::memory_order_relaxed) && bytes > 0 &&
-          bytes <= capacity_bytes_ && make_room_locked(bytes)) {
-        lru_.push_front(Entry{bucket, bytes, std::move(payload)});
-        map_[bucket] = lru_.begin();
-        used_bytes_ += bytes;
-      }
-    }
-    cv_.notify_all();
-  }
-
-  /// Loader backed out (budget declined the payload buffer, or the scan
-  /// threw): drop the marker so a waiter can take over.  Idempotent.
-  void abort_load(std::size_t bucket) {
-    {
-      const std::lock_guard<std::mutex> lk(mu_);
-      loading_.erase(bucket);
-    }
-    cv_.notify_all();
-  }
-
-  /// Retire the whole cache atomically: the epoch was superseded.  Drops
-  /// every entry and marker, returns every budget chunk, disables the cache
-  /// permanently and wakes all waiters (they fall back to the device —
-  /// queries still in flight on the old epoch stay correct, just uncached).
-  void retire() {
-    {
-      const std::lock_guard<std::mutex> lk(mu_);
-      enabled_.store(false, std::memory_order_release);
-      map_.clear();
-      lru_.clear();
-      loading_.clear();
-      used_bytes_ = 0;
-      chunks_.clear();
-    }
-    cv_.notify_all();
-  }
-
-  [[nodiscard]] std::uint64_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
-  /// Lookups that waited out a concurrent loader and were then served its
-  /// payload — the scan-sharing counter (a subset of hits()).
-  [[nodiscard]] std::uint64_t coalesced() const noexcept {
-    return coalesced_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t evictions() const noexcept {
-    return evictions_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t resident_bytes() const {
-    const std::lock_guard<std::mutex> lk(mu_);
-    return used_bytes_;
-  }
-
- private:
-  struct Entry {
-    std::size_t bucket = 0;
-    std::size_t bytes = 0;
-    std::shared_ptr<const std::vector<T>> payload;
-  };
-  using Lru = std::list<Entry>;  // front = most recent
-
-  [[nodiscard]] std::size_t granted_bytes() const {
-    return chunks_.size() * chunk_bytes_;
-  }
-
-  bool evict_tail_locked() {
-    if (lru_.empty()) return false;
-    const Entry& victim = lru_.back();
-    used_bytes_ -= victim.bytes;
-    map_.erase(victim.bucket);
-    lru_.pop_back();
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Make `bytes` of room under the capacity cap: grow by chunks while the
-  /// budget grants them (never reclaiming from peers — a scavenger does not
-  /// steal), else evict LRU entries.
-  bool make_room_locked(std::size_t bytes) {
-    while (used_bytes_ + bytes > capacity_bytes_ && evict_tail_locked()) {
-    }
-    if (used_bytes_ + bytes > capacity_bytes_) return false;
-    for (;;) {
-      if (used_bytes_ + bytes <= granted_bytes()) return true;
-      auto grown = budget_.try_reserve(chunk_bytes_, /*allow_reclaim=*/false);
-      if (grown) {
-        chunks_.push_back(std::move(*grown));
-        continue;
-      }
-      if (!evict_tail_locked()) return false;
-    }
-  }
-
-  MemoryBudget& budget_;
-  const std::size_t capacity_bytes_;
-  const std::size_t chunk_bytes_;
-  const std::uint64_t epoch_;
-  std::atomic<bool> enabled_{false};
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  Lru lru_;
-  std::map<std::size_t, typename Lru::iterator> map_;  // bucket -> entry
-  std::set<std::size_t> loading_;  // buckets with a loader in flight
-  std::vector<MemoryReservation> chunks_;
-  std::size_t used_bytes_ = 0;
-
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> coalesced_{0};
-  std::atomic<std::uint64_t> evictions_{0};
+  BucketScanCache(MemoryBudget& /*budget*/, std::size_t /*capacity_bytes*/,
+                  std::size_t /*chunk_bytes*/, std::uint64_t /*epoch*/) {}
 };
 
 template <EmRecord T, typename Less = std::less<T>>

@@ -1,8 +1,8 @@
 // The query fast path: BucketScanCache (no query consults it, so replies and
-// per-query base I/O are identical with one attached or not; its
-// single-flight lookup/publish and retire() still behave as documented),
-// condvar-driven refresh retirement (an epoch publish under zero load never
-// waits, let alone sleeps), condvar admission (a queued query admits the
+// per-query base I/O are identical with one attached or not), epoch churn
+// (rank, range and top-k replies stay oracle-exact while refreshes publish
+// new epochs under load), condvar-driven refresh retirement (an epoch
+// publish under zero load never waits, let alone sleeps), condvar admission (a queued query admits the
 // moment budget bytes free up), the pipelined line protocol (torn lines,
 // batched lines answered in order, oversized lines rejected, a client
 // closing mid-reply ends only its own connection), readiness (the serve
@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -88,11 +89,9 @@ TEST(BucketScanCacheDeterminism, CachedRepliesMatchUncachedBaseForBase) {
   std::vector<QueryResult<std::uint64_t>> ref_ranks, got_ranks;
   std::vector<QueryResult<std::vector<Record>>> ref_tops, got_tops;
   run_pass(ref_ranks, ref_tops);
-  auto cache = std::make_shared<BucketScanCache<Record>>(
+  idx.attach_bucket_cache(std::make_shared<BucketScanCache<Record>>(
       env.ctx.budget(), /*capacity_bytes=*/256 * kBlockBytes,
-      /*chunk_bytes=*/64 * kBlockBytes, /*epoch=*/1);
-  ASSERT_TRUE(cache->enabled());
-  idx.attach_bucket_cache(cache);
+      /*chunk_bytes=*/64 * kBlockBytes, /*epoch=*/1));
   run_pass(got_ranks, got_tops);
   run_pass(got_ranks, got_tops);  // a second, "warm" pass changes nothing
 
@@ -110,7 +109,6 @@ TEST(BucketScanCacheDeterminism, CachedRepliesMatchUncachedBaseForBase) {
     EXPECT_EQ(got_tops[i].io.base(), want.io.base()) << "top-k " << i;
     EXPECT_EQ(got_tops[i].io.bucket_hits, 0u) << "top-k " << i;
   }
-  EXPECT_EQ(cache->hits() + cache->misses(), 0u);
 
   // The server accepts a bucket-cache size and serves the same answers.
   const std::string src = temp_path("det_src.rec");
@@ -136,94 +134,83 @@ TEST(BucketScanCacheDeterminism, CachedRepliesMatchUncachedBaseForBase) {
 }
 
 // ---------------------------------------------------------------------------
-// BucketScanCache single flight: one loader, the rest wait and coalesce.
+// Epoch churn: clients query through refreshes, and every reply is exact.
 
-TEST(BucketScanCacheSharing, SingleFlightLookupCoalescesWaiters) {
+TEST(BucketCacheEpochKeying, ConcurrentRefreshNeverServesStaleEpochHits) {
+  const auto host = make_workload(Workload::kUniform, kRecords, 59);
+  const auto sorted_ref = sorted_copy(host);
+  const std::string src = temp_path("churn_src.rec");
+  write_record_file(src, host);
+
   testutil::EmEnv env(kBlockBytes, kMemBlocks);
-  BucketScanCache<Record> cache(env.ctx.budget(),
-                                /*capacity_bytes=*/64 * kBlockBytes,
-                                /*chunk_bytes=*/8 * kBlockBytes, /*epoch=*/1);
-  ASSERT_TRUE(cache.enabled());
-  EXPECT_EQ(cache.epoch(), 1u);
+  SplitterServer::Config cfg;
+  cfg.source_path = src;
+  cfg.buckets = kBuckets;
+  cfg.queue_wait = 1.0;
+  SplitterServer server(env.ctx, cfg);
+  server.start();
 
-  const auto first = cache.lookup(3);
-  ASSERT_TRUE(first.loader);
-  EXPECT_EQ(first.payload, nullptr);
+  constexpr std::uint64_t kTop = 37;  // spans three blocks of the run
+  const std::vector<Record> want_max(sorted_ref.end() - kTop, sorted_ref.end());
+  const std::vector<Record> want_min(sorted_ref.begin(),
+                                     sorted_ref.begin() + kTop);
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> ok_replies{0};
+  std::atomic<int> violations{0};
 
-  constexpr std::size_t kWaiters = 6;
-  std::vector<BucketScanCache<Record>::Lookup> got(kWaiters);
-  std::vector<std::thread> threads;
-  threads.reserve(kWaiters);
-  for (std::size_t t = 0; t < kWaiters; ++t) {
-    threads.emplace_back([&, t] { got[t] = cache.lookup(3); });
+  constexpr std::size_t kClients = 3;
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (std::size_t t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      std::uint64_t last_epoch = 0;
+      for (std::size_t i = t; !done.load(); ++i) {
+        SplitterServer::Request q;
+        q.lo = sorted_ref[(i * 131) % kRecords];
+        q.hi = sorted_ref[(i * 131 + 977) % kRecords];
+        if (i % 3 == 0) {
+          q.kind = QueryKind::kRank;
+        } else if (i % 3 == 1) {
+          q.kind = QueryKind::kRange;
+        } else {
+          q.kind = QueryKind::kTopK;
+          q.k = kTop;
+          q.largest = (i / 3) % 2 == 0;
+        }
+        const SplitterServer::Reply rep = server.query(q, t + 1);
+        if (!rep.ok) continue;
+        ok_replies.fetch_add(1);
+        // One client's replies never step back to an epoch already retired.
+        if (rep.epoch < last_epoch) violations.fetch_add(1);
+        last_epoch = rep.epoch;
+        const std::uint64_t rl = oracle_rank(sorted_ref, q.lo);
+        const std::uint64_t rh = oracle_rank(sorted_ref, q.hi);
+        bool exact = true;
+        switch (q.kind) {
+          case QueryKind::kRank: exact = rep.value == rl; break;
+          case QueryKind::kRange:
+            exact = rep.value == (rh >= rl ? rh - rl : 0);
+            break;
+          default:
+            exact = rep.records == (q.largest ? want_max : want_min);
+            break;
+        }
+        if (!exact) violations.fetch_add(1);
+      }
+    });
   }
-  // Every waiter blocks on the loader's marker until it publishes.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  auto payload = std::make_shared<std::vector<Record>>(
-      std::vector<Record>{{1, 2}, {3, 4}});
-  cache.publish(3, payload);
-  for (auto& th : threads) th.join();
-
-  for (std::size_t t = 0; t < kWaiters; ++t) {
-    EXPECT_FALSE(got[t].loader) << "thread " << t;
-    ASSERT_NE(got[t].payload, nullptr) << "thread " << t;
-    EXPECT_EQ(*got[t].payload, *payload) << "thread " << t;
+  // The refresher: epoch churn while the clients query.
+  for (int r = 0; r < 5; ++r) {
+    (void)server.refresh();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), kWaiters);
-  EXPECT_LE(cache.coalesced(), kWaiters);
-  EXPECT_EQ(cache.resident_bytes(), payload->size() * sizeof(Record));
+  done.store(true);
+  for (auto& th : clients) th.join();
 
-  // A later lookup is a plain hit; an aborted load hands the marker over.
-  const auto again = cache.lookup(3);
-  EXPECT_FALSE(again.coalesced);
-  ASSERT_NE(again.payload, nullptr);
-  ASSERT_TRUE(cache.lookup(5).loader);
-  cache.abort_load(5);
-  EXPECT_TRUE(cache.lookup(5).loader);
-  cache.abort_load(5);
-}
-
-// ---------------------------------------------------------------------------
-// BucketScanCache retirement wakes every waiter and disables the cache.
-
-TEST(BucketCacheEpochKeying, RetireWakesWaitersAndDisablesTheCache) {
-  testutil::EmEnv env(kBlockBytes, kMemBlocks);
-  const std::size_t used_before = env.ctx.budget().used();
-  BucketScanCache<Record> cache(env.ctx.budget(),
-                                /*capacity_bytes=*/64 * kBlockBytes,
-                                /*chunk_bytes=*/8 * kBlockBytes, /*epoch=*/7);
-  ASSERT_TRUE(cache.enabled());
-  EXPECT_GT(env.ctx.budget().used(), used_before);
-  cache.publish(1, std::make_shared<std::vector<Record>>(
-                       std::vector<Record>{{9, 9}}));
-  ASSERT_TRUE(cache.lookup(2).loader);
-
-  constexpr std::size_t kWaiters = 4;
-  std::vector<BucketScanCache<Record>::Lookup> got(kWaiters);
-  std::vector<std::thread> threads;
-  threads.reserve(kWaiters);
-  for (std::size_t t = 0; t < kWaiters; ++t) {
-    threads.emplace_back([&, t] { got[t] = cache.lookup(2); });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  cache.retire();  // the loader never publishes: retire must wake them all
-  for (auto& th : threads) th.join();
-
-  for (std::size_t t = 0; t < kWaiters; ++t) {
-    EXPECT_FALSE(got[t].loader) << "thread " << t;
-    EXPECT_EQ(got[t].payload, nullptr) << "thread " << t;
-  }
-  EXPECT_FALSE(cache.enabled());
-  EXPECT_EQ(cache.resident_bytes(), 0u);
-  EXPECT_EQ(env.ctx.budget().used(), used_before);
-  // Retired for good: even the published bucket is gone.
-  const auto after = cache.lookup(1);
-  EXPECT_FALSE(after.loader);
-  EXPECT_EQ(after.payload, nullptr);
-  cache.publish(2, std::make_shared<std::vector<Record>>(
-                       std::vector<Record>{{1, 1}}));
-  EXPECT_EQ(cache.resident_bytes(), 0u);
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_GT(ok_replies.load(), 0u);
+  EXPECT_EQ(server.epoch(), 6u);
+  std::remove(src.c_str());
 }
 
 // ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ Machine make_machine(const Options& opt) {
                "  partition <in> <out> <K> <a> <b>         approximate K-partitioning\n"
                "  histogram <file> <buckets> [slack]       nearly equi-depth histogram\n"
                "  info      <file>                         dataset summary\n"
-               "  serve     <file> <socket> [--buckets=K] [--slack=F] [--queue-wait=S]\n"
+               "  serve     <file> <socket> [--buckets=K] [--queue-wait=S]\n"
                "            [--listen=host:port] [--bucket-cache-blocks=N]\n"
                "                                           resident splitter service\n"
                "  query     <target> [--repeat=N] [--pipeline] <REQUEST...>\n"

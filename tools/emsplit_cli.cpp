@@ -13,8 +13,8 @@
 //   emsplit partition <in> <out> <K> <a> <b>
 //   emsplit histogram <file> <buckets> [slack]
 //   emsplit info      <file>
-//   emsplit serve     <file> <socket> [--buckets=K] [--slack=F]
-//                     [--queue-wait=S] [--listen=host:port]
+//   emsplit serve     <file> <socket> [--buckets=K] [--queue-wait=S]
+//                     [--listen=host:port]
 //                     [--bucket-cache-blocks=N]
 //   emsplit query     <target> [--repeat=N] [--pipeline] <REQUEST...>
 //
@@ -26,11 +26,11 @@
 // Unix-domain socket (RANK / RANGE / HIST / TOPK / STATS / EPOCH / REFRESH /
 // SHUTDOWN); --listen=host:port opens the same protocol on TCP beside it
 // (port 0 binds an ephemeral port, reported on the readiness line);
-// --slack and --bucket-cache-blocks are accepted but change nothing (the
-// index is a sorted run).  query is the thin client: <target> is a Unix
-// socket path, or host:port for TCP; --repeat=N sends the request N times
-// and --pipeline keeps up to 64 of them in flight (the server answers each
-// batch against one pinned snapshot).  With --checkpoint-dir the service's
+// serve has no slack: its index is a sorted run cut at exact quantiles, and
+// --bucket-cache-blocks is accepted but changes nothing.  query is the thin
+// client: <target> is a Unix socket path, or host:port for TCP; --repeat=N
+// sends the request N times and --pipeline keeps up to 64 of them in flight
+// (the server answers each batch against one pinned snapshot).  With --checkpoint-dir the service's
 // epoch publishes are crash-consistent: kill it mid-refresh, restart, and
 // it serves the last published epoch (the CI smoke leg's assertion).
 //
@@ -234,9 +234,6 @@ int cmd_serve(const Options& opt, int argc, char** argv) {
     if (arg.rfind("--buckets=", 0) == 0) {
       cfg.buckets = parse_u64(arg.c_str() + 10, "buckets");
       if (cfg.buckets == 0) usage("--buckets must be positive");
-    } else if (arg.rfind("--slack=", 0) == 0) {
-      cfg.slack = std::strtod(arg.c_str() + 8, nullptr);
-      if (cfg.slack < 0) usage("--slack must be >= 0");
     } else if (arg.rfind("--queue-wait=", 0) == 0) {
       cfg.queue_wait = std::strtod(arg.c_str() + 13, nullptr);
       if (cfg.queue_wait < 0) usage("--queue-wait must be >= 0");
