@@ -35,9 +35,12 @@ template <typename T, typename Less>
   // lies in [base, base + n].
   while (n > 1) {
     const std::size_t half = n / 2;
-    // Whichever way this probe goes, the next one lands near one of these.
-    __builtin_prefetch(base + half / 2);
-    __builtin_prefetch(base + half + half / 2);
+    // Whichever way this probe goes, the next one reads one of these two
+    // records (exactly, when n is a power of two).  Prefetching the record
+    // one past it instead fetches the wrong cache line at every level once
+    // the array starts on a line boundary.
+    __builtin_prefetch(base + (half - 1) / 2);
+    __builtin_prefetch(base + half + (half - 1) / 2);
     base += static_cast<std::size_t>(less(base[half - 1], x)) * half;
     n -= half;
   }
