@@ -15,7 +15,7 @@
 // extent transfer is one device call — one pread/pwrite on FileBlockDevice —
 // but is charged k I/Os, because the model prices block movement, not calls;
 // batching is therefore invisible to the cost accounting (docs/model.md,
-// "I/O batching and asynchrony").
+// "I/O batching").
 //
 // Allocation is extent-based (contiguous runs of blocks) with a first-fit
 // free list, so external vectors and scratch space can be recycled during
@@ -43,8 +43,6 @@
 #include "em/io_stats.hpp"
 
 namespace emsplit {
-
-class BlockCache;
 
 using BlockId = std::uint64_t;
 
@@ -178,8 +176,7 @@ struct FaultSchedule {
 };
 
 /// Bounded retry of transient faults, applied inside the device's public
-/// transfer methods — which covers every call site, the async I/O worker
-/// included.  A retry re-issues only the blocks the fault prevented, so the
+/// transfer methods — which covers every call site.  A retry re-issues only the blocks the fault prevented, so the
 /// base read/write counts of a retried run are identical to the fault-free
 /// run; each retry attempt is tallied separately in IoStats::retries.
 /// The default (max_retries = 0) reproduces the classic fail-fast device.
@@ -192,15 +189,14 @@ struct FaultPolicy {
 /// Abstract block device with I/O accounting, extent allocation and fault
 /// injection.
 ///
-/// Thread-safety contract (load-bearing for the async I/O pipeline): the
-/// transfer interface — read / write / read_blocks / write_blocks — and the
-/// stats() snapshot may be used concurrently by the main thread and the
-/// background I/O worker.  The I/O counters are relaxed atomics, and the
-/// transfer paths of both concrete devices are data-race free provided no two
-/// threads touch the same block concurrently (the stream layer guarantees
-/// that: every in-flight batch owns its blocks exclusively).  Everything else
-/// — allocate / deallocate, reset_stats, arm/disarm fault — is main-thread
-/// only and must not run while transfers are in flight.
+/// Thread-safety contract (load-bearing for the splitter service, whose
+/// query threads read one device concurrently): the transfer interface —
+/// read / write / read_blocks / write_blocks — and the stats() snapshot may
+/// be used from several threads at once.  The I/O counters are relaxed
+/// atomics, and the transfer paths of both concrete devices are data-race
+/// free provided no two threads write the same block concurrently.
+/// Everything else — allocate / deallocate, reset_stats, arm/disarm fault —
+/// is main-thread only and must not run while transfers are in flight.
 class BlockDevice {
  public:
   explicit BlockDevice(std::size_t block_bytes);
@@ -249,26 +245,15 @@ class BlockDevice {
                     std::span<const std::byte> in);
 
   /// Snapshot of the I/O counters.  Returns by value: the counters are
-  /// atomics that the background worker may be bumping concurrently.
+  /// atomics that other threads may be bumping concurrently.
   /// Virtual so a composite device (ShardedBlockDevice) can report the sum
-  /// of its members' counters as the facade total.  With a block cache
-  /// attached, the snapshot carries the cache's hit/miss/eviction counters;
-  /// base() strips them, so determinism assertions are unaffected.
+  /// of its members' counters as the facade total.
   [[nodiscard]] virtual IoStats stats() const noexcept;
 
-  /// Zero the counters (including the attached cache's, if any).  Main-thread
-  /// only, and only at quiescent points (no async I/O in flight — e.g.
-  /// between algorithm runs); a reset racing the worker's increments would
-  /// produce torn totals.
+  /// Zero the counters.  Main-thread only, and only at quiescent points (no
+  /// transfers in flight — e.g. between algorithm runs); a reset racing
+  /// another thread's increments would produce torn totals.
   virtual void reset_stats() noexcept;
-
-  /// Attach (or detach, with nullptr) a block cache.  The device consults it
-  /// on every transfer: resident reads skip the backend but are still counted
-  /// — the cache is invisible to the logical I/O accounting (docs/model.md).
-  /// Main-thread only, at quiescent points.  One device per cache: the cache
-  /// is keyed by this device's block ids.
-  void set_cache(BlockCache* cache) noexcept { cache_ = cache; }
-  [[nodiscard]] BlockCache* cache() const noexcept { return cache_; }
 
   /// True when a forked child process can keep transferring over the
   /// inherited handle while the parent's copy stays usable — the property the
@@ -295,13 +280,6 @@ class BlockDevice {
   /// positional I/O.  The child _exits without running destructors, so this
   /// must not need a matching teardown.  Default: nothing to do.
   virtual void child_after_fork() noexcept {}
-
-  /// Drain and zero this thread's cache-hit counter.  read_core bumps a
-  /// thread_local counter on every cache-served block, so a query thread can
-  /// attribute hits to itself exactly even while other threads share the
-  /// device: clear before the query, take after.  The device-wide totals in
-  /// stats() are unaffected.
-  [[nodiscard]] static std::uint64_t take_thread_cache_hits() noexcept;
 
   /// Fold I/O performed on this device by a cooperating forked worker into
   /// the counters: the child's transfers moved real blocks of the shared
@@ -441,9 +419,6 @@ class BlockDevice {
   virtual void note_retry(BlockId first_failed) noexcept {
     (void)first_failed;
   }
-  /// Invalidate any cached copies of [first, first + count) — for subclasses
-  /// that mutate storage behind the counting layer (corruption routing).
-  void invalidate_cache_range(BlockId first, std::uint64_t count) noexcept;
 
  private:
   /// Outcome of consulting the fault injector for a `count`-I/O request.
@@ -495,12 +470,6 @@ class BlockDevice {
     std::uint64_t sum = 0;
   };
 
-  /// Per-thread cache-hit tally for take_thread_cache_hits(); thread-owned,
-  /// so no synchronization.  Shared across BlockDevice instances on purpose —
-  /// a query runs against one device at a time, and a sharded facade's
-  /// members all credit the same querying thread.
-  static thread_local std::uint64_t thread_cache_hits_;
-
   std::size_t block_bytes_;
   std::atomic<std::uint64_t> size_blocks_{0};
   std::uint64_t allocated_blocks_ = 0;
@@ -527,7 +496,6 @@ class BlockDevice {
   mutable std::mutex sum_mu_;
   std::map<BlockId, BlockSum> sums_;
   std::map<BlockId, BlockSum> dirty_sums_;  // guarded by sum_mu_
-  BlockCache* cache_ = nullptr;
 };
 
 /// RAII ownership of a raw extent outside an EmVector — the recovery and

@@ -75,7 +75,7 @@ template <EmRecord T>
 
 /// Stream a flat record file onto the device as a new EmVector.
 /// Host memory use: one batch of staging blocks plus the writer's buffers,
-/// both budgeted.  The writer inherits the context's batching/async tuning.
+/// both budgeted.  The writer inherits the context's batching tuning.
 template <EmRecord T>
 [[nodiscard]] EmVector<T> import_file(Context& ctx, const std::string& path) {
   const std::size_t n = file_record_count<T>(path);

@@ -18,9 +18,9 @@ namespace emsplit {
 /// expressed in these units.
 ///
 /// This is a plain value type — a snapshot.  The live counters inside
-/// BlockDevice are relaxed atomics (the async I/O worker increments them
-/// concurrently with the main thread); `BlockDevice::stats()` folds them into
-/// an IoStats by value.
+/// BlockDevice are relaxed atomics (concurrent query threads and pool workers
+/// increment them); `BlockDevice::stats()` folds them into an IoStats by
+/// value.
 struct IoStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -39,25 +39,16 @@ struct IoStats {
   /// of a supervised run are identical to the fault-free run, and this field
   /// records the re-executed volume separately.
   std::uint64_t worker_retries = 0;
-  /// Block-cache traffic on this device (em/block_cache.hpp).  A cache hit is
-  /// a *logical* read whose blocks were served from the budget-charged cache
-  /// instead of the backend — the read is still counted in `reads` (the model
-  /// charges block movement into working memory, wherever the bytes came
-  /// from), so the base counts of a cached run are identical to the uncached
-  /// run; hits/misses/evictions only explain where the wall-clock went.
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
   /// Reads served from a decoded bucket payload (BucketScanCache).  No query
   /// path consults that cache any more, so this stays 0; the field remains
-  /// because the benchmark harness reads it.  Like `cache_hits`, such reads
-  /// would still count in `reads`.
+  /// because the benchmark harness reads it.  Such reads would still count
+  /// in `reads`.
   std::uint64_t bucket_hits = 0;
 
   /// Combined I/O count — the quantity the paper's bounds are stated in.
   [[nodiscard]] std::uint64_t total() const noexcept { return reads + writes; }
 
-  /// The snapshot with retries and cache counters zeroed — what determinism
+  /// The snapshot with retries and bucket hits zeroed — what determinism
   /// assertions compare.
   [[nodiscard]] IoStats base() const noexcept { return IoStats{reads, writes}; }
 
@@ -66,9 +57,6 @@ struct IoStats {
     writes += o.writes;
     retries += o.retries;
     worker_retries += o.worker_retries;
-    cache_hits += o.cache_hits;
-    cache_misses += o.cache_misses;
-    cache_evictions += o.cache_evictions;
     bucket_hits += o.bucket_hits;
     return *this;
   }
@@ -77,9 +65,6 @@ struct IoStats {
     a.writes -= b.writes;
     a.retries -= b.retries;
     a.worker_retries -= b.worker_retries;
-    a.cache_hits -= b.cache_hits;
-    a.cache_misses -= b.cache_misses;
-    a.cache_evictions -= b.cache_evictions;
     a.bucket_hits -= b.bucket_hits;
     return a;
   }

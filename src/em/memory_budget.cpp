@@ -1,7 +1,6 @@
 #include "em/memory_budget.hpp"
 
 #include <algorithm>
-#include <utility>
 
 namespace emsplit {
 
@@ -9,57 +8,15 @@ MemoryReservation MemoryBudget::reserve(std::size_t bytes) {
   return MemoryReservation(*this, bytes);
 }
 
-std::optional<MemoryReservation> MemoryBudget::try_reserve(std::size_t bytes,
-                                                           bool allow_reclaim) {
-  // Up to two rounds: a plain attempt, then one more after the reclaimers
-  // have been asked to shed the shortfall.
-  for (int round = 0; round < 2; ++round) {
-    std::vector<Reclaimer> reclaimers;
-    std::size_t shortfall = 0;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (commit_locked(bytes)) {
-        return MemoryReservation(*this, bytes, MemoryReservation::Adopt{});
-      }
-      if (!allow_reclaim || reclaimers_.empty() || round > 0) {
-        return std::nullopt;
-      }
-      reclaimers.reserve(reclaimers_.size());
-      for (const auto& [id, r] : reclaimers_) reclaimers.push_back(r);
-      shortfall = bytes - (capacity_ - used_);
-    }
-    std::size_t got = 0;
-    for (const Reclaimer& r : reclaimers) {
-      got += r(shortfall - std::min(shortfall, got));
-      if (got >= shortfall) break;
-    }
-    if (got == 0) return std::nullopt;
-  }
-  return std::nullopt;
+std::optional<MemoryReservation> MemoryBudget::try_reserve(std::size_t bytes) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (!commit_locked(bytes)) return std::nullopt;
+  return MemoryReservation(*this, bytes, MemoryReservation::Adopt{});
 }
 
 void MemoryBudget::acquire(std::size_t bytes) {
-  for (int round = 0; round < 2; ++round) {
-    std::vector<Reclaimer> reclaimers;
-    std::size_t shortfall = 0;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (commit_locked(bytes)) return;
-      if (reclaimers_.empty() || round > 0) {
-        throw BudgetExceeded(over_budget_message(bytes));
-      }
-      reclaimers.reserve(reclaimers_.size());
-      for (const auto& [id, r] : reclaimers_) reclaimers.push_back(r);
-      shortfall = bytes - (capacity_ - used_);
-    }
-    std::size_t got = 0;
-    for (const Reclaimer& r : reclaimers) {
-      got += r(shortfall - std::min(shortfall, got));
-      if (got >= shortfall) break;
-    }
-  }
   const std::lock_guard<std::mutex> lock(mu_);
-  throw BudgetExceeded(over_budget_message(bytes));
+  if (!commit_locked(bytes)) throw BudgetExceeded(over_budget_message(bytes));
 }
 
 bool MemoryBudget::commit_locked(std::size_t bytes) noexcept {

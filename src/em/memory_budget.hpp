@@ -12,24 +12,18 @@
 // (allocation tables, the recursion stack, I/O counters) is not reserved;
 // DESIGN.md §4 discusses this convention.
 //
-// Reservations are internally synchronized: the block cache
-// (em/block_cache.hpp) charges its entries from I/O worker threads while the
-// main thread reserves algorithm state.  A *reclaimer* callback lets a
-// scavenging consumer (the block cache) hold otherwise-idle budget: when a
-// reservation finds the budget short, the registered reclaimers are asked —
-// outside the budget lock, in registration order — to give bytes back before
-// the reservation is refused.
+// Reservations are internally synchronized: the splitter service's query
+// threads reserve their scratch concurrently against one shared budget.
 //
-// A *release listener* is the inverse hook: a single callback invoked after
-// every release() that frees bytes, outside the budget lock.  The splitter
-// service registers one to wake admission-queued queries the moment budget
-// becomes available, replacing its former 500µs sleep-poll (docs/model.md,
-// "The query hot path").  The listener must be noexcept and must not touch
-// the budget re-entrantly beyond try_reserve/notify.
+// A *release listener* is a single callback invoked after every release()
+// that frees bytes, outside the budget lock.  The splitter service registers
+// one to wake admission-queued queries the moment budget becomes available,
+// replacing its former 500µs sleep-poll (docs/model.md, "The query hot
+// path").  The listener must be noexcept and must not touch the budget
+// re-entrantly beyond try_reserve/notify.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -37,7 +31,6 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace emsplit {
 
@@ -56,16 +49,9 @@ class MemoryReservation;
 /// (em/thread_pool.hpp) receive their scratch from the caller, which sizes
 /// it with try_reserve() before dispatch and falls back to the serial code
 /// path when the budget has no room for per-thread state.  The counters are
-/// mutex-guarded so the block cache may additionally charge and release
-/// entries from I/O worker threads.
+/// mutex-guarded so the service's query threads may reserve concurrently.
 class MemoryBudget {
  public:
-  /// Asked to release at least the given number of bytes back to the budget;
-  /// returns how many bytes it actually released.  Called without the budget
-  /// lock held — the reclaimer may release() reservations freely, but must
-  /// not create new ones.
-  using Reclaimer = std::function<std::size_t(std::size_t)>;
-
   explicit MemoryBudget(std::size_t capacity_bytes)
       : capacity_(capacity_bytes) {}
 
@@ -86,26 +72,6 @@ class MemoryBudget {
     return capacity_ - used_;
   }
 
-  /// Register a scavenger that is asked to release budget when a reservation
-  /// falls short; returns a token for remove_reclaimer().  Reclaimers are
-  /// consulted in registration order until the shortfall is covered.
-  /// Register/remove at quiescent points (cache attach/detach).
-  [[nodiscard]] std::uint64_t add_reclaimer(Reclaimer reclaimer) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const std::uint64_t id = ++next_reclaimer_id_;
-    reclaimers_.emplace_back(id, std::move(reclaimer));
-    return id;
-  }
-  void remove_reclaimer(std::uint64_t id) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = reclaimers_.begin(); it != reclaimers_.end(); ++it) {
-      if (it->first == id) {
-        reclaimers_.erase(it);
-        return;
-      }
-    }
-  }
-
   /// Register (or clear, with nullptr) the callback invoked after every
   /// release() that returns bytes to the budget.  One listener; called
   /// outside the budget lock and must be noexcept (release() is).
@@ -114,19 +80,14 @@ class MemoryBudget {
     release_listener_ = std::move(listener);
   }
 
-  /// Reserve `bytes`; throws BudgetExceeded if the budget cannot hold them
-  /// even after asking the reclaimer to give back what it holds.
+  /// Reserve `bytes`; throws BudgetExceeded if the budget cannot hold them.
   [[nodiscard]] MemoryReservation reserve(std::size_t bytes);
 
   /// Reserve `bytes` if they fit, nullopt otherwise.  For *optional* state —
   /// parallel kernels use it for per-thread scratch and degrade to their
-  /// serial loop when M is too tight, rather than failing the run.  With
-  /// `allow_reclaim` (the default) a shortfall first asks the reclaimer to
-  /// release scavenged bytes, so optional state sees the same budget it
-  /// would without a cache attached; the cache's own growth passes false —
-  /// a scavenger never steals from itself.
+  /// serial loop when M is too tight, rather than failing the run.
   [[nodiscard]] std::optional<MemoryReservation> try_reserve(
-      std::size_t bytes, bool allow_reclaim = true);
+      std::size_t bytes);
 
   void reset_peak() noexcept {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -148,8 +109,6 @@ class MemoryBudget {
   // Live reservation sizes (size -> count), reported by BudgetExceeded to
   // make over-budget bugs self-diagnosing.
   std::map<std::size_t, std::size_t> live_;
-  std::vector<std::pair<std::uint64_t, Reclaimer>> reclaimers_;
-  std::uint64_t next_reclaimer_id_ = 0;
   std::function<void()> release_listener_;
   mutable std::mutex mu_;
 };

@@ -101,8 +101,6 @@ std::string pass_trace_json(const PassTrace& t) {
   s += ",\"writes\":" + std::to_string(t.io.writes);
   s += ",\"retries\":" + std::to_string(t.io.retries);
   s += ",\"worker_retries\":" + std::to_string(t.io.worker_retries);
-  s += ",\"cache_hits\":" + std::to_string(t.io.cache_hits);
-  s += ",\"cache_misses\":" + std::to_string(t.io.cache_misses);
   s += ",\"bytes\":" + std::to_string(t.bytes);
   s += ",\"hwm_bytes\":" + std::to_string(t.hwm_bytes);
   s += ",\"seconds\":";

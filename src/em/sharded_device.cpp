@@ -1,10 +1,8 @@
 #include "em/sharded_device.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 
 namespace emsplit {
@@ -71,14 +69,6 @@ ShardedBlockDevice::ShardedBlockDevice(
   for (std::size_t i = 0; i < members_.size(); ++i) {
     facade_retries_by_shard_[i].store(0, std::memory_order_relaxed);
   }
-  // Parallel member submission is on by default only where it can win: with
-  // several members AND more than one hardware thread.  On a single-core
-  // host the per-sub-batch worker handoff is pure overhead (the dispatch is
-  // geometry either way — logical I/O and bytes are identical), so the
-  // default there is the serial walk.  Callers can force either path with
-  // set_parallel_io().
-  set_parallel_io(members_.size() > 1 &&
-                  std::thread::hardware_concurrency() > 1);
 }
 
 ShardedBlockDevice::~ShardedBlockDevice() { flush_member_sidecars(); }
@@ -123,19 +113,10 @@ void ShardedBlockDevice::set_member_sidecars(std::vector<std::string> paths,
 IoStats ShardedBlockDevice::stats() const noexcept {
   IoStats total{};
   for (const auto& m : members_) total += m->stats();
-  // The facade's own counters contribute its logical-fault retries and the
-  // block cache's counters (the cache attaches at the facade: it sees
-  // logical block ids, members see post-translation ones).  A cache hit is a
-  // logical read the members never saw — add it back, so logical totals are
-  // identical with the cache on or off; shard rows partition the *member*
-  // transfers (plus attributed retries), not the hits served above them.
+  // The facade's own counters contribute its logical-fault retries.
   const IoStats own = BlockDevice::stats();
   total.retries += own.retries;
   total.worker_retries += own.worker_retries;
-  total.reads += own.cache_hits;
-  total.cache_hits += own.cache_hits;
-  total.cache_misses += own.cache_misses;
-  total.cache_evictions += own.cache_evictions;
   return total;
 }
 
@@ -173,12 +154,9 @@ void ShardedBlockDevice::absorb_stats(
     // child's row i already carries the facade retries it attributed to
     // shard i, so landing the whole row in member i's counters preserves
     // both the per-shard sums and the total.
-    IoStats rest = delta;
     for (std::size_t i = 0; i < members_.size(); ++i) {
       members_[i]->absorb_stats(per_shard[i], {});
-      rest = rest - per_shard[i];
     }
-    (void)rest;  // any cache counters in `rest` have no cross-process meaning
     return;
   }
   // No per-shard breakdown (or a geometry mismatch): fall back to member 0
@@ -212,18 +190,6 @@ void ShardedBlockDevice::corrupt_bit(BlockId block, std::size_t bit) {
   }
   const Location loc = locate(block);
   members_[loc.shard]->corrupt_bit(loc.block, bit);
-}
-
-void ShardedBlockDevice::set_parallel_io(bool enabled) {
-  if (enabled && members_.size() > 1) {
-    if (!pipelines_.empty()) return;
-    pipelines_.reserve(members_.size());
-    for (std::size_t i = 0; i < members_.size(); ++i) {
-      pipelines_.push_back(std::make_unique<IoPipeline>());
-    }
-  } else {
-    pipelines_.clear();  // each destructor drains and joins its worker
-  }
 }
 
 ShardedBlockDevice::Location ShardedBlockDevice::locate(
@@ -338,74 +304,17 @@ void ShardedBlockDevice::run_segments(bool is_read, BlockId first,
     }
   };
 
-  std::vector<std::vector<const Segment*>> by_member(members_.size());
-  for (const auto& s : segs) by_member[s.shard].push_back(&s);
-  std::size_t involved = 0;
-  for (const auto& v : by_member) involved += v.empty() ? 0u : 1u;
-
-  if (pipelines_.empty() || involved <= 1) {
-    // Serial path: logical order, on the calling thread.  `done` is exact —
-    // everything before the faulting segment transferred in full.
-    std::uint64_t done = 0;
-    for (const auto& s : segs) {
-      try {
-        xfer(s);
-      } catch (const DeviceFault& df) {
-        rethrow_logical(df, s.shard, op, first, count, done + df.completed());
-      }
-      done += s.count;
-    }
-    return;
-  }
-
-  // Parallel path: one job per involved member, each walking that member's
-  // segments in logical order.  Segments touch disjoint member blocks and
-  // disjoint sub-spans of the caller's buffer, so the jobs share nothing but
-  // the device pointers; `done` has one slot per member, written only by its
-  // own job and read only after every wait() below has synchronized.
-  std::vector<std::uint64_t> done(members_.size(), 0);
-  std::vector<std::pair<std::size_t, IoPipeline::Ticket>> tickets;
-  tickets.reserve(involved);
-  for (std::size_t mi = 0; mi < members_.size(); ++mi) {
-    if (by_member[mi].empty()) continue;
-    tickets.emplace_back(
-        mi, pipelines_[mi]->submit([&xfer, &by_member, &done, mi] {
-          for (const Segment* s : by_member[mi]) {
-            try {
-              xfer(*s);
-            } catch (const DeviceFault& df) {
-              done[mi] += df.completed();
-              throw;
-            }
-            done[mi] += s->count;
-          }
-        }));
-  }
-  // Wait for every member — even after a failure — so the buffer and the
-  // segment list stay valid for all in-flight jobs.  The surfaced fault is
-  // the lowest-indexed faulting member, which keeps the error deterministic
-  // regardless of worker interleaving.
-  std::exception_ptr first_error;
-  std::size_t fault_shard = 0;
-  for (const auto& [mi, ticket] : tickets) {
+  // `done` is exact — everything before the faulting segment transferred
+  // in full.
+  std::uint64_t done = 0;
+  for (const auto& s : segs) {
     try {
-      pipelines_[mi]->wait(ticket);
-    } catch (...) {
-      if (first_error == nullptr) {
-        first_error = std::current_exception();
-        fault_shard = mi;
-      }
+      xfer(s);
+    } catch (const DeviceFault& df) {
+      rethrow_logical(df, s.shard, op, first, count, done + df.completed());
     }
+    done += s.count;
   }
-  if (first_error == nullptr) return;
-  std::uint64_t total_done = 0;
-  for (const std::uint64_t d : done) total_done += d;
-  try {
-    std::rethrow_exception(first_error);
-  } catch (const DeviceFault& df) {
-    rethrow_logical(df, fault_shard, op, first, count, total_done);
-  }
-  // Non-DeviceFault errors propagate from the rethrow above unchanged.
 }
 
 }  // namespace emsplit

@@ -5,24 +5,13 @@
 // records costs ceil(n/B) I/Os; writing likewise — regardless of the I/O
 // tuning below.
 //
-// The context's IoTuning shapes how those I/Os are issued:
-//
-//   * batch_blocks > 1 — streams move groups of consecutive blocks per
-//     device call (read_blocks / write_blocks).  Same I/Os counted, far
-//     fewer calls/syscalls.  Requires the record size to divide the block
-//     size (otherwise per-block tail padding breaks multi-block record
-//     spans and streams quietly fall back to one-block batches).
-//   * queue_depth > 0 with async — groups are serviced by the context's
-//     background worker: readers keep up to queue_depth prefetches in
-//     flight, writers flush behind.  Each stream owns
-//     batch_blocks * (1 + queue_depth) blocks of budgeted buffer memory —
-//     the same footprint whether async is on or off, so geometry and I/O
-//     counts never depend on the async flag (docs/model.md).
-//
-// Count determinism under async holds for streams that are consumed
-// sequentially to the end (every algorithm converted to the async path is).
-// A reader that skips past or abandons in-flight prefetches keeps those
-// already-issued reads in the totals — the device really moved the blocks.
+// The context's IoTuning shapes how those I/Os are issued: with
+// batch_blocks > 1, streams move groups of consecutive blocks per device
+// call (read_blocks / write_blocks).  Same I/Os counted, far fewer
+// calls/syscalls.  Requires the record size to divide the block size
+// (otherwise per-block tail padding breaks multi-block record spans and
+// streams quietly fall back to one-block batches).  Each stream owns one
+// buffer of batch_blocks blocks, filled and flushed on the calling thread.
 //
 // Bulk helpers at the bottom load / store whole record ranges for chunk-at-
 // a-time processing (run formation, in-memory chunk sorts); their buffers
@@ -33,12 +22,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <deque>
 #include <span>
 #include <vector>
 
 #include "em/em_vector.hpp"
-#include "em/io_pipeline.hpp"
 
 namespace emsplit {
 
@@ -46,8 +33,8 @@ namespace detail {
 
 /// Per-stream transfer geometry derived from the context's IoTuning at
 /// stream construction.  `footprint_records` is what the budget charges —
-/// tuning-defined, independent of the async flag and of the padded-layout
-/// fallback, so a given tuning always reserves the same memory.
+/// tuning-defined, independent of the padded-layout fallback, so a given
+/// tuning always reserves the same memory.
 template <EmRecord T>
 struct StreamShape {
   explicit StreamShape(const EmVector<T>& vec)
@@ -55,13 +42,11 @@ struct StreamShape {
         batch_blocks(vec.contiguous_layout()
                          ? vec.context().io_tuning().batch_blocks
                          : 1),
-        depth(vec.context().io_tuning().queue_depth),
         group_records(batch_blocks * block_records),
         footprint_records(vec.context().stream_blocks() * block_records) {}
 
   std::size_t block_records;
   std::size_t batch_blocks;  ///< blocks per device call (1 on padded layouts)
-  std::size_t depth;         ///< in-flight groups beyond the current one
   std::size_t group_records;
   std::size_t footprint_records;
 };
@@ -82,38 +67,18 @@ class StreamReader {
   StreamReader(const EmVector<T>& vec, std::size_t first, std::size_t last)
       : vec_(&vec),
         shape_(vec),
-        pipe_(shape_.depth > 0 ? vec.context().pipeline() : nullptr),
         pos_(first),
         end_(last),
         reservation_(vec.context().budget().reserve(shape_.footprint_records *
-                                                    sizeof(T))) {
+                                                    sizeof(T))),
+        records_(shape_.group_records) {
     assert(first <= last && last <= vec.size());
-    buffers_.resize(1 + shape_.depth);
-    for (auto& buf : buffers_) buf.records.resize(shape_.group_records);
   }
-
-  ~StreamReader() { abandon_inflight(); }
 
   StreamReader(const StreamReader&) = delete;
   StreamReader& operator=(const StreamReader&) = delete;
   StreamReader& operator=(StreamReader&&) = delete;
-  StreamReader(StreamReader&& o) noexcept
-      : vec_(o.vec_),
-        shape_(o.shape_),
-        pipe_(o.pipe_),
-        pos_(o.pos_),
-        end_(o.end_),
-        reservation_(std::move(o.reservation_)),
-        buffers_(std::move(o.buffers_)),
-        inflight_(std::move(o.inflight_)),
-        cur_(o.cur_),
-        cur_valid_(o.cur_valid_),
-        next_block_(o.next_block_) {
-    // In-flight jobs capture raw buffer pointers, which survive the move of
-    // `buffers_`; only neuter the source so its destructor does nothing.
-    o.inflight_.clear();
-    o.cur_valid_ = false;
-  }
+  StreamReader(StreamReader&&) noexcept = default;
 
   /// Records remaining.
   [[nodiscard]] std::size_t remaining() const noexcept { return end_ - pos_; }
@@ -125,8 +90,7 @@ class StreamReader {
   [[nodiscard]] const T& peek() {
     assert(!done());
     fill();
-    const Buffer& buf = buffers_[cur_];
-    return buf.records[pos_ - buf.first_block * shape_.block_records];
+    return records_[pos_ - first_block_ * shape_.block_records];
   }
 
   /// Consume and return the next record.
@@ -136,9 +100,9 @@ class StreamReader {
     return v;
   }
 
-  /// Skip forward `n` records without reading the blocks in between.  Groups
-  /// already prefetched stay counted (the device moved those blocks); the
-  /// next peek() re-primes the pipeline at the new position.
+  /// Skip forward `n` records without reading the blocks in between.  A
+  /// group already read stays counted (the device moved those blocks); the
+  /// next peek() reads the group at the new position.
   void skip(std::size_t n) {
     assert(n <= remaining());
     pos_ += n;
@@ -154,11 +118,10 @@ class StreamReader {
   [[nodiscard]] std::span<const T> peek_span() {
     assert(!done());
     fill();
-    const Buffer& buf = buffers_[cur_];
-    const std::size_t off = pos_ - buf.first_block * shape_.block_records;
+    const std::size_t off = pos_ - first_block_ * shape_.block_records;
     const std::size_t avail =
-        std::min(group_span(buf.first_block, buf.nblocks) - off, end_ - pos_);
-    return std::span<const T>(buf.records.data() + off, avail);
+        std::min(group_span(first_block_, nblocks_) - off, end_ - pos_);
+    return std::span<const T>(records_.data() + off, avail);
   }
 
   /// Consume `n` records previously exposed by peek_span().
@@ -168,29 +131,17 @@ class StreamReader {
   }
 
  private:
-  struct Buffer {
-    std::vector<T> records;
-    std::size_t first_block = 0;
-    std::size_t nblocks = 0;
-    IoPipeline::Ticket ticket = 0;
-  };
-
-  [[nodiscard]] std::size_t last_block() const noexcept {
-    return (end_ - 1) / shape_.block_records;
-  }
-  [[nodiscard]] std::size_t group_at(std::size_t blk) const noexcept {
-    return std::min(shape_.batch_blocks, last_block() - blk + 1);
-  }
-
   void fill() {
     const std::size_t blk = pos_ / shape_.block_records;
-    if (cur_valid_) {
-      const Buffer& buf = buffers_[cur_];
-      if (blk >= buf.first_block && blk < buf.first_block + buf.nblocks) {
-        return;
-      }
+    if (nblocks_ > 0 && blk >= first_block_ && blk < first_block_ + nblocks_) {
+      return;
     }
-    advance_to(blk);
+    const std::size_t last_block = (end_ - 1) / shape_.block_records;
+    first_block_ = blk;
+    nblocks_ = std::min(shape_.batch_blocks, last_block - blk + 1);
+    vec_->read_blocks(
+        blk, nblocks_,
+        std::span<T>(records_).first(group_span(blk, nblocks_)));
   }
 
   /// Number of records a group starting at `blk` transfers: full blocks
@@ -201,126 +152,31 @@ class StreamReader {
     return std::min(nblocks * shape_.block_records, cap);
   }
 
-  void read_into(Buffer& buf, std::size_t blk) {
-    buf.first_block = blk;
-    buf.nblocks = group_at(blk);
-    vec_->read_blocks(
-        blk, buf.nblocks,
-        std::span<T>(buf.records).first(group_span(blk, buf.nblocks)));
-  }
-
-  void advance_to(std::size_t blk) {
-    IoPipeline* pipe = pipe_;
-    if (shape_.depth == 0 || pipe == nullptr) {
-      cur_ = 0;
-      read_into(buffers_[0], blk);
-      cur_valid_ = true;
-      return;
-    }
-    // Async path.  The group we need is normally the oldest prefetch; if a
-    // skip() jumped elsewhere, retire the stale prefetches and re-prime.
-    if (!inflight_.empty() && buffers_[inflight_.front()].first_block != blk) {
-      abandon_inflight();
-    }
-    if (inflight_.empty()) {
-      cur_ = 0;
-      read_into(buffers_[0], blk);
-      next_block_ = blk + buffers_[0].nblocks;
-    } else {
-      const std::size_t bi = inflight_.front();
-      inflight_.pop_front();
-      pipe->wait(buffers_[bi].ticket);
-      buffers_[bi].ticket = 0;
-      cur_ = bi;
-    }
-    cur_valid_ = true;
-    top_up(*pipe);
-  }
-
-  void top_up(IoPipeline& pipe) {
-    while (inflight_.size() < shape_.depth && next_block_ <= last_block()) {
-      const std::size_t bi = free_buffer();
-      Buffer& buf = buffers_[bi];
-      buf.first_block = next_block_;
-      buf.nblocks = group_at(next_block_);
-      // Capture raw pointers, not `this`: buffers are heap storage that
-      // stays put if the reader itself is moved while jobs are in flight.
-      const EmVector<T>* vec = vec_;
-      const std::size_t blk = buf.first_block;
-      const std::size_t nblocks = buf.nblocks;
-      const std::span<T> dst(buf.records.data(), group_span(blk, nblocks));
-      buf.ticket = pipe.submit(
-          [vec, blk, nblocks, dst] { vec->read_blocks(blk, nblocks, dst); });
-      inflight_.push_back(bi);
-      next_block_ += nblocks;
-    }
-  }
-
-  [[nodiscard]] std::size_t free_buffer() const {
-    // 1 + depth buffers, at most depth in flight plus the current one: a
-    // free buffer always exists.
-    for (std::size_t i = 0; i < buffers_.size(); ++i) {
-      if (cur_valid_ && i == cur_) continue;
-      if (std::find(inflight_.begin(), inflight_.end(), i) ==
-          inflight_.end()) {
-        return i;
-      }
-    }
-    assert(false && "StreamReader: no free buffer");
-    return 0;
-  }
-
-  void abandon_inflight() noexcept {
-    if (inflight_.empty()) return;
-    IoPipeline* pipe = pipe_;
-    for (const std::size_t bi : inflight_) {
-      if (pipe == nullptr) break;
-      try {
-        pipe->wait(buffers_[bi].ticket);
-      } catch (...) {
-        // Reads into buffers we are dropping; the error is irrelevant.
-      }
-    }
-    inflight_.clear();
-  }
-
   const EmVector<T>* vec_;
   detail::StreamShape<T> shape_;
-  // Snapshotted at construction: the destructor must not reach back through
-  // vec_->context() (the target vector may be moved from before the stream
-  // dies, e.g. `return {std::move(out), ...}` above a live writer).
-  IoPipeline* pipe_;
   std::size_t pos_;
   std::size_t end_;
   MemoryReservation reservation_;
-  std::vector<Buffer> buffers_;
-  std::deque<std::size_t> inflight_;
-  std::size_t cur_ = 0;
-  bool cur_valid_ = false;
-  std::size_t next_block_ = 0;
+  std::vector<T> records_;
+  std::size_t first_block_ = 0;  ///< first block of the buffered group
+  std::size_t nblocks_ = 0;      ///< blocks buffered (0 = nothing read yet)
 };
 
 /// Sequential writer appending records into an EmVector starting at record 0.
 ///
-/// Call finish() when done: it flushes the partial last group, waits for any
-/// write-behind still in flight and sets the vector's logical size.
-/// Destruction without finish() waits out in-flight writes as well (so
-/// exceptions don't lose the budget or race the buffers) but only finish()
-/// publishes the size.
+/// Call finish() when done: it flushes the partial last group and sets the
+/// vector's logical size.  Destruction without finish() writes nothing more
+/// and leaves the size alone.
 template <EmRecord T>
 class StreamWriter {
  public:
   explicit StreamWriter(EmVector<T>& vec)
       : vec_(&vec),
         shape_(vec),
-        pipe_(shape_.depth > 0 ? vec.context().pipeline() : nullptr),
         reservation_(vec.context().budget().reserve(shape_.footprint_records *
-                                                    sizeof(T))) {
-    buffers_.resize(1 + shape_.depth);
-    for (auto& buf : buffers_) buf.records.resize(shape_.group_records);
-  }
+                                                    sizeof(T))),
+        records_(shape_.group_records) {}
 
-  ~StreamWriter() { drain_noexcept(); }
   StreamWriter(const StreamWriter&) = delete;
   StreamWriter& operator=(const StreamWriter&) = delete;
 
@@ -329,23 +185,17 @@ class StreamWriter {
 
   void push(const T& v) {
     assert(count_ < vec_->capacity());
-    buffers_[cur_].records[count_ - group_first_] = v;
+    records_[count_ - group_first_] = v;
     ++count_;
     if (count_ - group_first_ == shape_.group_records) {
       flush_group(shape_.batch_blocks);
       group_first_ = count_;
-      rotate();
     }
   }
 
-  /// Flush the trailing partial group, wait out write-behind, publish the
-  /// logical size.
-  ///
-  /// On a device fault this throws exactly once: the fault surfaces from
-  /// whichever wait() (or synchronous flush) first observes it and is then
-  /// consumed.  `group_first_` advances past the final flush *before* the
-  /// drain, so a caller that catches the fault and retries finish() drains
-  /// the remaining write-behind without ever re-writing the final group.
+  /// Flush the trailing partial group and publish the logical size.  A
+  /// device fault propagates with the group still buffered, so a caller that
+  /// catches it may retry finish().
   void finish() {
     if (finished_) return;
     const std::size_t filled = count_ - group_first_;
@@ -356,124 +206,50 @@ class StreamWriter {
       flush_group((filled + shape_.block_records - 1) / shape_.block_records);
       group_first_ = count_;
     }
-    drain();
     vec_->set_size(count_);
     finished_ = true;
   }
 
  private:
-  struct Buffer {
-    std::vector<T> records;
-    IoPipeline::Ticket ticket = 0;
-    bool pending = false;
-  };
-
   void flush_group(std::size_t nblocks) {
-    Buffer& buf = buffers_[cur_];
-    const std::size_t first_block = group_first_ / shape_.block_records;
-    const std::size_t nrec = nblocks * shape_.block_records;
-    IoPipeline* pipe = pipe_;
-    if (shape_.depth > 0 && pipe != nullptr) {
-      EmVector<T>* vec = vec_;
-      const std::span<const T> src(buf.records.data(), nrec);
-      buf.ticket = pipe->submit([vec, first_block, nblocks, src] {
-        vec->write_blocks(first_block, nblocks, src);
-      });
-      buf.pending = true;
-    } else {
-      vec_->write_blocks(first_block, nblocks,
-                         std::span<const T>(buf.records).first(nrec));
-    }
-  }
-
-  void rotate() {
-    if (shape_.depth == 0 || pipe_ == nullptr) return;
-    cur_ = (cur_ + 1) % buffers_.size();
-    Buffer& buf = buffers_[cur_];
-    if (buf.pending) {
-      buf.pending = false;  // cleared first: wait() may throw
-      pipe_->wait(buf.ticket);
-    }
-  }
-
-  void drain() {
-    // Ticket order, so the oldest in-flight fault is the one that surfaces
-    // (each buffer's pending flag is cleared before its wait: a throw leaves
-    // the remaining buffers for the destructor — or a retried finish() — to
-    // wait out, and the surfaced error is consumed by the rethrow, so it can
-    // never be reported twice).
-    for (auto* buf : pending_by_ticket()) {
-      buf->pending = false;
-      if (pipe_ != nullptr) pipe_->wait(buf->ticket);
-    }
-  }
-
-  void drain_noexcept() noexcept {
-    for (auto& buf : buffers_) {
-      if (!buf.pending) continue;
-      buf.pending = false;
-      if (pipe_ == nullptr) continue;
-      try {
-        pipe_->wait(buf.ticket);
-      } catch (...) {
-        // Teardown without finish(): the write's fate no longer matters,
-        // only that the buffer is safe to free.
-      }
-    }
-  }
-
-  [[nodiscard]] std::vector<Buffer*> pending_by_ticket() {
-    std::vector<Buffer*> pending;
-    for (auto& buf : buffers_) {
-      if (buf.pending) pending.push_back(&buf);
-    }
-    std::sort(pending.begin(), pending.end(),
-              [](const Buffer* a, const Buffer* b) {
-                return a->ticket < b->ticket;
-              });
-    return pending;
+    vec_->write_blocks(
+        group_first_ / shape_.block_records, nblocks,
+        std::span<const T>(records_).first(nblocks * shape_.block_records));
   }
 
   EmVector<T>* vec_;
   detail::StreamShape<T> shape_;
-  IoPipeline* pipe_;  // snapshotted; see StreamReader::pipe_
   std::size_t count_ = 0;
   std::size_t group_first_ = 0;  // record index where the current group starts
-  std::size_t cur_ = 0;
   bool finished_ = false;
   MemoryReservation reservation_;
-  std::vector<Buffer> buffers_;
+  std::vector<T> records_;
 };
 
 /// Sequential writer into an arbitrary record range [start, start + n) of an
 /// EmVector that may be written concurrently by neighbouring RangeWriters.
 ///
-/// Interior blocks are written with plain (batched, possibly write-behind)
-/// block writes; the partial edge blocks at the two ends are flushed with an
-/// atomic read-merge-write so that records owned by an adjacent range in the
-/// same block survive.  The edge read happens at flush time (never cached
-/// earlier) and always synchronously on the calling thread — a shared edge
-/// block is partial for *both* neighbours, so it is never covered by anyone's
-/// async interior writes.  Used by multi-partition to let distribution passes
-/// write final partitions straight into the output vector.
+/// Interior blocks are written with plain (batched) block writes; the
+/// partial edge blocks at the two ends are flushed with a read-merge-write so
+/// that records owned by an adjacent range in the same block survive.  The
+/// edge read happens at flush time, never earlier.  Used by multi-partition
+/// to let distribution passes write final partitions straight into the
+/// output vector.
 template <EmRecord T>
 class RangeWriter {
  public:
   RangeWriter(EmVector<T>& vec, std::size_t start)
       : vec_(&vec),
         shape_(vec),
-        pipe_(shape_.depth > 0 ? vec.context().pipeline() : nullptr),
         start_(start),
         pos_(start),
+        // Groups are anchored at the block grid so interior flushes stay
+        // aligned.
+        group_first_((start / shape_.block_records) * shape_.block_records),
         reservation_(vec.context().budget().reserve(shape_.footprint_records *
-                                                    sizeof(T))) {
-    buffers_.resize(1 + shape_.depth);
-    for (auto& buf : buffers_) buf.records.resize(shape_.group_records);
-    // Groups are anchored at the block grid so interior flushes stay aligned.
-    group_first_ = (start / shape_.block_records) * shape_.block_records;
-  }
+                                                    sizeof(T))),
+        records_(shape_.group_records) {}
 
-  ~RangeWriter() { drain_noexcept(); }
   RangeWriter(const RangeWriter&) = delete;
   RangeWriter& operator=(const RangeWriter&) = delete;
 
@@ -481,65 +257,53 @@ class RangeWriter {
 
   void push(const T& v) {
     assert(pos_ < vec_->capacity());
-    buffers_[cur_].records[pos_ - group_first_] = v;
+    records_[pos_ - group_first_] = v;
     ++pos_;
     ++count_;
     if (pos_ - group_first_ == shape_.group_records) {
       flush_group();
       group_first_ = pos_;
-      rotate();
     }
   }
 
-  /// Flush the trailing partial group and wait out write-behind (idempotent).
-  /// Does not touch the vector's logical size — the caller owns that.
-  /// Like StreamWriter::finish(), a worker fault surfaces exactly once, and
-  /// a retried finish() resumes the drain without re-writing the final group.
+  /// Flush the trailing partial group (idempotent).  Does not touch the
+  /// vector's logical size — the caller owns that.
   void finish() {
     if (finished_) return;
     if (count_ > 0 && pos_ > group_first_) {
       flush_group();
       group_first_ = pos_;
     }
-    drain();
     finished_ = true;
   }
 
  private:
-  struct Buffer {
-    std::vector<T> records;
-    IoPipeline::Ticket ticket = 0;
-    bool pending = false;
-  };
-
   /// Flush the records this group owns: [max(start, group_first), pos).
-  /// Partial edge blocks merge synchronously; whole interior blocks go out
-  /// as one batched (possibly async) write.
+  /// Partial edge blocks merge; whole interior blocks go out as one batched
+  /// write.
   void flush_group() {
     const std::size_t b = shape_.block_records;
-    Buffer& buf = buffers_[cur_];
     std::size_t lo = std::max(start_, group_first_);
     const std::size_t hi = pos_;
     if (lo % b != 0) {  // partial head block (only ever the first group's)
       const std::size_t head_end = std::min(hi, (lo / b + 1) * b);
-      merge_flush(lo, head_end, buf);
+      merge_flush(lo, head_end);
       lo = head_end;
     }
     const std::size_t hi_full = hi - hi % b;
     if (lo < hi_full) {
-      const std::size_t nblocks = (hi_full - lo) / b;
-      const std::span<const T> src(buf.records.data() + (lo - group_first_),
-                                   hi_full - lo);
-      emit(lo / b, nblocks, src);
+      vec_->write_blocks(lo / b, (hi_full - lo) / b,
+                         std::span<const T>(records_.data() +
+                                                (lo - group_first_),
+                                            hi_full - lo));
     }
     if (hi % b != 0 && hi_full >= lo) {  // partial tail block (finish only)
-      merge_flush(std::max(lo, hi_full), hi, buf);
+      merge_flush(std::max(lo, hi_full), hi);
     }
   }
 
   /// Read-merge-write of one partial block, records [range_lo, range_hi).
-  void merge_flush(std::size_t range_lo, std::size_t range_hi,
-                   const Buffer& buf) {
+  void merge_flush(std::size_t range_lo, std::size_t range_hi) {
     const std::size_t b = shape_.block_records;
     const std::size_t blk = range_lo / b;
     const std::size_t blk_first = blk * b;
@@ -549,80 +313,20 @@ class RangeWriter {
     std::vector<T> merged(b);
     vec_->read_block(blk, merged);
     for (std::size_t r = range_lo; r < range_hi; ++r) {
-      merged[r - blk_first] = buf.records[r - group_first_];
+      merged[r - blk_first] = records_[r - group_first_];
     }
     vec_->write_block(blk, std::span<const T>(merged));
   }
 
-  void emit(std::size_t first_block, std::size_t nblocks,
-            std::span<const T> src) {
-    IoPipeline* pipe = pipe_;
-    Buffer& buf = buffers_[cur_];
-    if (shape_.depth > 0 && pipe != nullptr) {
-      EmVector<T>* vec = vec_;
-      buf.ticket = pipe->submit([vec, first_block, nblocks, src] {
-        vec->write_blocks(first_block, nblocks, src);
-      });
-      buf.pending = true;
-    } else {
-      vec_->write_blocks(first_block, nblocks, src);
-    }
-  }
-
-  void rotate() {
-    if (shape_.depth == 0 || pipe_ == nullptr) return;
-    cur_ = (cur_ + 1) % buffers_.size();
-    Buffer& buf = buffers_[cur_];
-    if (buf.pending) {
-      buf.pending = false;
-      pipe_->wait(buf.ticket);
-    }
-  }
-
-  void drain() {
-    // Ticket order with pending cleared before each wait — the same
-    // exactly-once fault-surfacing protocol as StreamWriter::drain().
-    for (auto* buf : pending_by_ticket()) {
-      buf->pending = false;
-      if (pipe_ != nullptr) pipe_->wait(buf->ticket);
-    }
-  }
-
-  void drain_noexcept() noexcept {
-    for (auto& buf : buffers_) {
-      if (!buf.pending) continue;
-      buf.pending = false;
-      if (pipe_ == nullptr) continue;
-      try {
-        pipe_->wait(buf.ticket);
-      } catch (...) {
-      }
-    }
-  }
-
-  [[nodiscard]] std::vector<Buffer*> pending_by_ticket() {
-    std::vector<Buffer*> pending;
-    for (auto& buf : buffers_) {
-      if (buf.pending) pending.push_back(&buf);
-    }
-    std::sort(pending.begin(), pending.end(),
-              [](const Buffer* a, const Buffer* b) {
-                return a->ticket < b->ticket;
-              });
-    return pending;
-  }
-
   EmVector<T>* vec_;
   detail::StreamShape<T> shape_;
-  IoPipeline* pipe_;  // snapshotted; see StreamReader::pipe_
   std::size_t start_;
   std::size_t pos_;
   std::size_t count_ = 0;
-  std::size_t group_first_ = 0;  // record index where the current group starts
-  std::size_t cur_ = 0;
+  std::size_t group_first_;  // record index where the current group starts
   bool finished_ = false;
   MemoryReservation reservation_;
-  std::vector<Buffer> buffers_;
+  std::vector<T> records_;
 };
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // thread_pool.hpp — the shared CPU worker pool behind parallel kernels.
 //
-// One pool serves a whole Context (created by set_cpu_tuning), the CPU-side
-// sibling of the IoPipeline.  Its only primitive is run(): execute fn(i) for
+// One pool serves a whole Context (created by set_cpu_tuning).  Its only
+// primitive is run(): execute fn(i) for
 // every index i in [0, ntasks), with the calling thread participating, and
 // return when all of them have finished.  Task indices are claimed under the
 // pool mutex in increasing order, so a batch of shard sorts starts in shard
@@ -16,8 +16,8 @@
 // a serial left-to-right loop would have hit first.
 //
 // The pool never touches the block device or the MemoryBudget — I/O stays on
-// the main thread (or the IoPipeline worker), and budget reservations are
-// made by the caller before dispatch.  Tasks only read and write memory
+// the main thread, and budget reservations are made by the caller before
+// dispatch.  Tasks only read and write memory
 // handed to them by the caller, and run() is a full happens-before barrier
 // in both directions.
 #pragma once

@@ -1,7 +1,7 @@
 // uring_device.hpp — io_uring-backed file device: the native async backend.
 //
 // FileBlockDevice costs one blocking syscall per extent transfer.  On the
-// batched/async tunings that is already far fewer calls than blocks, but the
+// batched tunings that is already far fewer calls than blocks, but the
 // device never holds queue depth > 1: every write blocks until the kernel
 // has copied the bytes, every read blocks from submission to completion.
 // UringBlockDevice keeps a real submission/completion ring instead:
@@ -31,7 +31,7 @@
 //    recycled, so a stale completion can never clobber a new owner.
 //
 // Everything above the backend is inherited unchanged — counting, fault
-// injection, bounded retry, checksums, the block cache.  Writes are counted
+// injection, bounded retry, checksums.  Writes are counted
 // at submission; the model charges block movement, and the ordering rules
 // above make the movement indistinguishable from the synchronous backend:
 // backend choice is geometry, never output (bit-identical checksums,
@@ -48,7 +48,6 @@
 // the written prefix are unspecified by the device contract).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
@@ -76,15 +75,11 @@ class UringBlockDevice final : public BlockDevice {
  public:
   using Tuning = UringTuning;
 
-  /// Ring geometry derived from the context's IoTuning.queue_depth, the knob
-  /// that already sizes every stream's in-flight window: depth d gives
-  /// 8*(d+1) write-behind slots (clamped to [8, 32]).
-  [[nodiscard]] static Tuning tuned(std::size_t queue_depth,
-                                    bool direct = false) {
+  /// The ring the CLI builds: 8 write-behind slots, handed to the kernel
+  /// four at a time, in a 16-entry ring.
+  [[nodiscard]] static Tuning tuned(bool direct = false) {
     Tuning t;
-    const std::size_t slots =
-        std::min<std::size_t>(32, std::max<std::size_t>(8, 8 * (queue_depth + 1)));
-    t.write_behind = static_cast<unsigned>(slots);
+    t.write_behind = 8;
     t.submit_batch = t.write_behind / 2;
     t.ring_entries = 2 * t.write_behind;
     t.direct = direct;

@@ -76,8 +76,6 @@ std::string query_trace_json(const QueryTrace& t) {
   s += ",\"seconds\":";
   append_double(s, t.seconds);
   s += ",\"reads\":" + std::to_string(t.io.reads);
-  s += ",\"cache_hits\":" + std::to_string(t.io.cache_hits);
-  s += ",\"cache_misses\":" + std::to_string(t.io.cache_misses);
   s += ",\"bucket_hits\":" + std::to_string(t.io.bucket_hits);
   s += ",\"k\":" + std::to_string(t.k);
   s += ",\"value\":" + std::to_string(t.value);

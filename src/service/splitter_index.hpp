@@ -26,9 +26,7 @@
 // threads, so a query cannot diff the device's shared counters.  Instead
 // each query counts the block reads it issues (deterministic — the set of
 // blocks a query touches is a function of the index geometry, never of
-// concurrent load) and attributes cache hits exactly via the device's
-// thread-confined hit counter (BlockDevice::take_thread_cache_hits).  The
-// sum of per-query base I/O over any schedule equals the serial run's — the
+// concurrent load).  The sum of per-query base I/O over any schedule equals the serial run's — the
 // service-layer analogue of "geometry, never output".
 //
 // Thread-safety: every query method is const and touches only immutable
@@ -192,8 +190,7 @@ enum class QueryKind : std::uint8_t { kRank, kRange, kHistogram, kTopK };
 }
 
 /// A query's answer plus the I/O it performed: `io.reads` block reads were
-/// issued by this query (cache_hits of them served from the cache), nothing
-/// else moved.  base() sums over any concurrent schedule equal the serial
+/// issued by this query, nothing else moved.  base() sums over any concurrent schedule equal the serial
 /// run's — the determinism contract tests assert.
 template <typename V>
 struct QueryResult {
@@ -434,17 +431,11 @@ class SplitterIndex {
 
  private:
   /// Load records [first, first + out.size()) of the sorted run through the
-  /// device (and so through the block cache); charges the blocks touched to
-  /// `io` as reads, and the thread's cache hits among them.
+  /// device; charges the blocks touched to `io` as reads.
   void load(std::uint64_t first, std::span<T> out, IoStats& io) const {
     const std::uint64_t per = data_.block_records();
-    const std::uint64_t blocks = (first + out.size() - 1) / per - first / per + 1;
-    (void)BlockDevice::take_thread_cache_hits();  // clear stale tally
     load_range<T>(data_, static_cast<std::size_t>(first), out);
-    const std::uint64_t hits = BlockDevice::take_thread_cache_hits();
-    io.reads += blocks;
-    io.cache_hits += hits;
-    io.cache_misses += blocks >= hits ? blocks - hits : 0;
+    io.reads += (first + out.size() - 1) / per - first / per + 1;
   }
 
   /// One N/B scan of the sorted run: each bucket's maximum, and the first

@@ -52,12 +52,10 @@ using RunOffsets = std::vector<std::size_t>;
 
 /// Phase 1 — split `input` into sorted runs written to a fresh vector.
 ///
-/// Runs are produced through a StreamReader/StreamWriter pair so that the
-/// async tuning's read-ahead and write-behind overlap with the in-memory
-/// sorting: while chunk i sorts (shard-parallel on the CPU pool, see
-/// chunk_sort.hpp), up to queue_depth prefetched groups of chunk i + 1 are
-/// already in flight, and the merged output of chunk i drains behind the
-/// computation.  The chunk size is M minus the two stream footprints —
+/// Runs are produced through a StreamReader/StreamWriter pair: chunk i is
+/// loaded, sorted (shard-parallel on the CPU pool, see chunk_sort.hpp) and
+/// streamed out before chunk i + 1 is read.  The chunk size is M minus the
+/// two stream footprints —
 /// at the default tuning that is the classic M - 2B, so the default path
 /// reproduces the seed's run geometry and I/O counts exactly.
 template <EmRecord T, typename Less>
@@ -185,10 +183,8 @@ template <EmRecord T, typename Less = std::less<T>>
     Context& ctx, const EmVector<T>& input, Less less = {},
     RunStrategy strategy = RunStrategy::kChunkSort) {
   const std::size_t b = ctx.block_records<T>();
-  // Every stream buffers stream_blocks() blocks (batching x queue depth), so
-  // the fan-in shrinks accordingly: f readers plus one writer must fit in M.
-  // stream_blocks() is tuning-defined and async-agnostic, which keeps sync
-  // and async runs of the same tuning I/O-count identical.
+  // Every stream buffers stream_blocks() blocks (one batch), so the fan-in
+  // shrinks accordingly: f readers plus one writer must fit in M.
   const std::size_t s = ctx.stream_blocks();
   const std::size_t fan_in =
       std::max<std::size_t>(2, ctx.mem_records<T>() / (b * s) - 1);

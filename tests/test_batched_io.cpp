@@ -1,17 +1,14 @@
-// Tests for batched multi-block transfers (read_blocks / write_blocks), the
-// IoPipeline worker, and the batched stream / bulk-helper paths.
+// Tests for batched multi-block transfers (read_blocks / write_blocks) and
+// the batched stream / bulk-helper paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "em/block_device.hpp"
 #include "em/context.hpp"
-#include "em/io_pipeline.hpp"
 #include "em/stream.hpp"
 #include "test_helpers.hpp"
 
@@ -188,36 +185,6 @@ TEST(BatchedIoTest, FileDeviceBatchRoundTripAndSparseReads) {
   EXPECT_EQ(dev.stats().writes, 3u);
 }
 
-TEST(IoPipelineTest, RunsJobsInSubmissionOrder) {
-  IoPipeline pipe;
-  std::vector<int> order;
-  std::atomic<int> done{0};
-  IoPipeline::Ticket last = 0;
-  for (int i = 0; i < 16; ++i) {
-    last = pipe.submit([i, &order, &done] {
-      order.push_back(i);  // single worker: no synchronization needed
-      done.fetch_add(1);
-    });
-  }
-  pipe.wait(last);
-  EXPECT_EQ(done.load(), 16);
-  std::vector<int> expect(16);
-  std::iota(expect.begin(), expect.end(), 0);
-  EXPECT_EQ(order, expect);
-}
-
-TEST(IoPipelineTest, WaitRethrowsTheJobsException) {
-  IoPipeline pipe;
-  const auto ok = pipe.submit([] {});
-  const auto bad =
-      pipe.submit([] { throw std::runtime_error("pipeline job failed"); });
-  const auto after = pipe.submit([] {});
-  pipe.wait(ok);
-  EXPECT_THROW(pipe.wait(bad), std::runtime_error);
-  pipe.wait(after);  // a failed job does not wedge the worker
-  pipe.drain();
-}
-
 TEST(BatchedStreamTest, BatchedRoundTripMatchesDefaultTuning) {
   const std::size_t n = 1000;  // not a multiple of any batch geometry
   std::vector<int> data(n);
@@ -232,10 +199,9 @@ TEST(BatchedStreamTest, BatchedRoundTripMatchesDefaultTuning) {
     return std::tuple(after_write, env.dev.stats(), out);
   };
 
-  const auto [w0, rw0, out0] = run({1, 0, false});
+  const auto [w0, rw0, out0] = run({1});
   EXPECT_EQ(out0, data);
-  for (const IoTuning t : {IoTuning{4, 0, false}, IoTuning{4, 1, false},
-                           IoTuning{3, 2, false}}) {
+  for (const IoTuning t : {IoTuning{4}, IoTuning{8}, IoTuning{3}}) {
     const auto [w, rw, out] = run(t);
     EXPECT_EQ(out, data);
     EXPECT_EQ(w.writes, w0.writes) << "batch=" << t.batch_blocks;
@@ -264,8 +230,8 @@ TEST(BatchedStreamTest, BulkHelpersKeepCountsAcrossTunings) {
   for (const auto& [first, len] :
        {std::pair<std::size_t, std::size_t>{0, 640},
         std::pair<std::size_t, std::size_t>{33, 241}}) {
-    const auto [s0, v0] = run({1, 0, false}, first, len);
-    const auto [s1, v1] = run({8, 0, false}, first, len);
+    const auto [s0, v0] = run({1}, first, len);
+    const auto [s1, v1] = run({8}, first, len);
     EXPECT_EQ(v1, v0) << "first=" << first;
     EXPECT_EQ(s1.reads, s0.reads) << "first=" << first;
     EXPECT_EQ(s1.writes, s0.writes) << "first=" << first;
@@ -285,15 +251,15 @@ TEST(BatchedStreamTest, PaddedLayoutFallsBackToSingleBlockBatches) {
     data[i] = Padded{int(i), {char('a' + i % 26)}};
   }
   testutil::EmEnv env(kBlockBytes, 32);
-  env.ctx.set_io_tuning({4, 1, false});
+  env.ctx.set_io_tuning({4});
   EmVector<Padded> vec =
       materialize<Padded>(env.ctx, std::span<const Padded>(data));
   EXPECT_EQ(to_host(vec), data);
 }
 
-TEST(AsyncStreamTest, WriterSurfacesDeviceFaults) {
+TEST(BatchedStreamTest, WriterSurfacesDeviceFaults) {
   testutil::EmEnv env(kBlockBytes, 32);
-  env.ctx.set_io_tuning({2, 1, true});
+  env.ctx.set_io_tuning({2});
   const std::size_t b = env.ctx.block_records<int>();
   EmVector<int> vec(env.ctx, 40 * b);
   env.dev.arm_fault_after(3);
@@ -307,30 +273,18 @@ TEST(AsyncStreamTest, WriterSurfacesDeviceFaults) {
   env.dev.disarm_fault();
 }
 
-TEST(AsyncStreamTest, ReaderSurvivesSkipAcrossPrefetches) {
-  testutil::EmEnv env(kBlockBytes, 32);
-  env.ctx.set_io_tuning({2, 2, true});
-  const std::size_t b = env.ctx.block_records<int>();
-  std::vector<int> data(50 * b);
-  for (std::size_t i = 0; i < data.size(); ++i) data[i] = int(i);
-  EmVector<int> vec = materialize<int>(env.ctx, std::span<const int>(data));
-
-  StreamReader<int> r(vec);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(r.next(), i);
-  r.skip(30 * b);  // jump far past everything in flight
-  EXPECT_EQ(r.next(), int(30 * b + 5));
-  while (!r.done()) (void)r.next();
-}
-
 TEST(TuningTest, RejectsInvalidTunings) {
   testutil::EmEnv env(kBlockBytes, 8);
-  EXPECT_THROW(env.ctx.set_io_tuning({0, 0, false}), std::invalid_argument);
-  // A reader/writer pair at this tuning would need 2*4*(1+1) = 16 > 8 blocks.
-  EXPECT_THROW(env.ctx.set_io_tuning({4, 1, false}), std::invalid_argument);
-  env.ctx.set_io_tuning({2, 1, true});
-  EXPECT_NE(env.ctx.pipeline(), nullptr);
-  env.ctx.set_io_tuning({2, 1, false});
-  EXPECT_EQ(env.ctx.pipeline(), nullptr);
+  EXPECT_THROW(env.ctx.set_io_tuning({0}), std::invalid_argument);
+  // A reader/writer pair at this tuning would need 2*5 = 10 > 8 blocks.
+  EXPECT_THROW(env.ctx.set_io_tuning({5}), std::invalid_argument);
+  // Sizes whose byte count 2 * batch_blocks * block_bytes wraps a 64-bit
+  // size_t (to 0, and to 256 bytes) must still be refused.
+  EXPECT_THROW(env.ctx.set_io_tuning({std::size_t{1} << 61}),
+               std::invalid_argument);
+  EXPECT_THROW(env.ctx.set_io_tuning({(std::size_t{1} << 56) + 1}),
+               std::invalid_argument);
+  env.ctx.set_io_tuning({4});
   EXPECT_EQ(env.ctx.stream_blocks(), 4u);
 }
 

@@ -339,68 +339,5 @@ TEST(Checksums, FullSortIsCleanAndCostIdentical) {
   EXPECT_EQ(dump(sums_out), dump(plain_out));
 }
 
-// ---------------------------------------------------------------------------
-// Async pipeline error path (the S2 regression): a fault in a background
-// write-behind job must surface exactly once, and a caller that catches it
-// can retry finish() without re-writing the final group.
-
-TEST(AsyncPipelineFault, BackgroundFaultSurfacesExactlyOnce) {
-  EmEnv env(256, 64);
-  env.ctx.set_io_tuning({2, 3, true});
-  const std::size_t n = 4000;
-  EmVector<Record> out(env.ctx, n);
-  env.dev.arm_fault_after(10);  // permanent; lands inside a write-behind job
-  StreamWriter<Record> writer(out);
-  std::size_t thrown = 0;
-  try {
-    for (std::size_t i = 0; i < n; ++i) {
-      writer.push(Record{i, i});
-    }
-    writer.finish();
-  } catch (const DeviceFault&) {
-    ++thrown;
-  }
-  EXPECT_EQ(thrown, 1u);
-  // Exactly-once delivery: the rethrow consumed the parked error, so nothing
-  // is left to double-report from a later wait or drain.
-  ASSERT_NE(env.ctx.pipeline(), nullptr);
-  EXPECT_EQ(env.ctx.pipeline()->pending_errors(), 0u);
-  env.dev.disarm_fault();
-  // A retried finish() drains the remaining write-behind and publishes the
-  // size without re-writing the final group.
-  writer.finish();
-  EXPECT_EQ(out.size(), writer.count());
-}
-
-TEST(AsyncPipelineFault, TransientFaultInWorkerRetriedToCompletion) {
-  auto host = make_workload(Workload::kUniform, 20000, 17);
-
-  EmEnv ref(256, 64);
-  ref.ctx.set_io_tuning({2, 3, true});
-  auto ref_in = materialize<Record>(ref.ctx, host);
-  ref.dev.reset_stats();
-  auto ref_out = external_sort<Record>(ref.ctx, ref_in);
-  const IoStats ref_io = ref.dev.stats();
-
-  EmEnv env(256, 64);
-  env.ctx.set_io_tuning({2, 3, true});
-  FaultPolicy policy;
-  policy.max_retries = 4;
-  env.ctx.set_fault_policy(policy);
-  auto in = materialize<Record>(env.ctx, host);
-  env.dev.reset_stats();
-  env.dev.arm_fault(FaultSchedule::fail_then_succeed(200, 2));
-  auto out = external_sort<Record>(env.ctx, in);
-  env.dev.disarm_fault();
-  const IoStats io = env.dev.stats();
-
-  // The retry loop lives in the device's transfer core, so a transient fault
-  // that fires on the background I/O worker is retried there and never
-  // surfaces — base counts and output match the fault-free async run.
-  EXPECT_EQ(io.base(), ref_io.base());
-  EXPECT_EQ(io.retries, 2u);
-  EXPECT_EQ(dump(out), dump(ref_out));
-}
-
 }  // namespace
 }  // namespace emsplit

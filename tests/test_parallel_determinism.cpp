@@ -1,5 +1,4 @@
-// The CPU pool's core contract (the CpuTuning mirror of
-// test_async_determinism.cpp): the thread count is pure execution width.
+// The CPU pool's core contract: the thread count is pure execution width.
 // For any number of threads, every algorithm produces bit-identical output
 // and identical IoStats totals — parallel kernels are written as exact
 // serial equivalents (group-ownership quintet formation, fixed-order
@@ -36,8 +35,8 @@ struct Shape {
 // (batch_blocks * block_records >= the scan grain) for the data-parallel
 // batch kernels to actually dispatch to the pool.
 const Shape kShapes[] = {
-    {"classic", 128, 32, 20000, IoTuning{2, 1, false}},
-    {"wide_batches", 512, 256, 60000, IoTuning{32, 1, true}},
+    {"classic", 128, 32, 20000, IoTuning{4}},
+    {"wide_batches", 512, 256, 60000, IoTuning{64}},
 };
 
 // The CI matrix leg sets EMSPLIT_TEST_THREADS to pin the widest point of
@@ -161,7 +160,7 @@ TEST(ParallelDeterminismTest, IntermixedSelectMatchesSerial) {
   // Grouped<int> is 16 bytes — divides the block size, so the wide-batch
   // shape drives the data-parallel quintet/θ kernels through the pool.
   using G = Grouped<int>;
-  const Shape shape{"wide_batches", 512, 256, 40000, IoTuning{32, 1, true}};
+  const Shape shape{"wide_batches", 512, 256, 40000, IoTuning{64}};
   const std::size_t l = 8;
   std::vector<G> data(shape.n);
   std::vector<std::uint64_t> sizes(l, 0);

@@ -1,8 +1,8 @@
 // The resident splitter service: the query engine's exactness against the
 // sorted oracle, per-query I/O attribution (the service analogue of
-// "geometry, never output"), concurrent-client determinism across backends
-// and cache settings, admission control, epoch refresh, the line-protocol
-// socket front end, and crash-consistent epoch recovery.
+// "geometry, never output"), concurrent-client determinism across backends,
+// admission control, epoch refresh, the line-protocol socket front end, and
+// crash-consistent epoch recovery.
 //
 // The determinism contract under test: a fixed query script produces
 // bit-identical answers from any number of concurrent client threads, and
@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/api.hpp"
-#include "em/block_cache.hpp"
 #include "em/checkpoint.hpp"
 #include "em/uring_device.hpp"
 #include "service/server.hpp"
@@ -317,7 +316,7 @@ TEST(SplitterIndexGeometry, FenceTableIsChargedForTheIndexLifetime) {
 }
 
 // ---------------------------------------------------------------------------
-// The service: concurrent clients, every backend, cache on and off.
+// The service: concurrent clients, every backend.
 
 enum class ServiceBackend { kMem, kFile, kUring };
 
@@ -338,7 +337,7 @@ std::unique_ptr<BlockDevice> make_service_device(ServiceBackend b,
       return std::make_unique<FileBlockDevice>(path, kBlockBytes);
     default:
       return std::make_unique<UringBlockDevice>(path, kBlockBytes,
-                                                UringBlockDevice::tuned(4));
+                                                UringBlockDevice::tuned());
   }
 }
 
@@ -377,10 +376,10 @@ std::vector<SplitterServer::Request> make_script(
 }
 
 class SplitterServiceMatrix
-    : public ::testing::TestWithParam<std::tuple<ServiceBackend, bool>> {};
+    : public ::testing::TestWithParam<ServiceBackend> {};
 
 TEST_P(SplitterServiceMatrix, ConcurrentScriptIsDeterministic) {
-  const auto [backend, use_cache] = GetParam();
+  const ServiceBackend backend = GetParam();
   const auto host = make_workload(Workload::kUniform, kRecords, 42);
   const auto sorted_ref = sorted_copy(host);
   const std::string src = temp_path("src.rec");
@@ -389,11 +388,6 @@ TEST_P(SplitterServiceMatrix, ConcurrentScriptIsDeterministic) {
   const std::string dev_path = temp_path("svc.dev");
   auto dev = make_service_device(backend, dev_path);
   Context ctx(*dev, kMemBlocks * kBlockBytes);
-  std::unique_ptr<BlockCache> cache;
-  if (use_cache) {
-    cache = std::make_unique<BlockCache>(ctx.budget(), kBlockBytes, 64);
-    ctx.set_block_cache(cache.get());
-  }
 
   SplitterServer::Config cfg;
   cfg.source_path = src;
@@ -446,7 +440,6 @@ TEST_P(SplitterServiceMatrix, ConcurrentScriptIsDeterministic) {
       const auto& a = ref[i];
       const auto& b = got[t][i];
       const std::string tag = std::string(service_backend_name(backend)) +
-                              (use_cache ? "/cache" : "/nocache") +
                               " thread " + std::to_string(t) + " query " +
                               std::to_string(i);
       ASSERT_TRUE(b.ok) << tag << ": " << b.error;
@@ -466,23 +459,14 @@ TEST_P(SplitterServiceMatrix, ConcurrentScriptIsDeterministic) {
   EXPECT_EQ(server.served(), (kThreads + 1) * script.size());
   EXPECT_EQ(server.shed(), 0u);
 
-  if (cache) {
-    ctx.set_block_cache(nullptr);
-    cache.reset();
-  }
   std::remove(src.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, SplitterServiceMatrix,
-    ::testing::Combine(::testing::Values(ServiceBackend::kMem,
-                                         ServiceBackend::kFile,
-                                         ServiceBackend::kUring),
-                       ::testing::Bool()),
-    [](const auto& p) {
-      return std::string(service_backend_name(std::get<0>(p.param))) +
-             (std::get<1>(p.param) ? "Cached" : "Uncached");
-    });
+    ::testing::Values(ServiceBackend::kMem, ServiceBackend::kFile,
+                      ServiceBackend::kUring),
+    [](const auto& p) { return std::string(service_backend_name(p.param)); });
 
 // ---------------------------------------------------------------------------
 // Admission control: an over-budget request sheds with a structured reject,

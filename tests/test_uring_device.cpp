@@ -6,7 +6,7 @@
 // tuning, thread count, and shard count — the ring only changes *when*
 // syscalls happen, never what the device stores or charges.  The matrix
 // here races FileBlockDevice against UringBlockDevice across
-// sync/batched/async x threads {1,4} x D {1,4}; the remaining tests pin
+// sync/batched x threads {1,4} x D {1,4}; the remaining tests pin
 // down the ring-specific hazards (write-behind ordering, oversized
 // transfers, discard draining, persistence, O_DIRECT).
 #include <gtest/gtest.h>
@@ -44,13 +44,12 @@ enum class Backend { kFile, kUring };
 
 // One device of the requested backend, or a ShardedBlockDevice facade over
 // D of them.  Each member gets its own scratch file, unlinked on destruction.
-std::unique_ptr<BlockDevice> make_backend(Backend backend, std::size_t d,
-                                          const IoTuning& tuning) {
+std::unique_ptr<BlockDevice> make_backend(Backend backend, std::size_t d) {
   const auto make_member = [&](const std::string& path)
       -> std::unique_ptr<BlockDevice> {
     if (backend == Backend::kUring) {
       return std::make_unique<UringBlockDevice>(
-          path, kBlockBytes, UringBlockDevice::tuned(tuning.queue_depth));
+          path, kBlockBytes, UringBlockDevice::tuned());
     }
     return std::make_unique<FileBlockDevice>(path, kBlockBytes);
   };
@@ -104,18 +103,16 @@ TEST(UringDeviceTest, BackendEquivalenceMatrix) {
     const char* name;
     IoTuning tuning;
   } tunings[] = {
-      {"sync", IoTuning{.batch_blocks = 1, .queue_depth = 0, .async = false}},
-      {"batched",
-       IoTuning{.batch_blocks = 8, .queue_depth = 0, .async = false}},
-      {"async", IoTuning{.batch_blocks = 4, .queue_depth = 1, .async = true}},
+      {"sync", IoTuning{.batch_blocks = 1}},
+      {"batched", IoTuning{.batch_blocks = 8}},
   };
   for (const auto& t : tunings) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       for (const std::size_t d : {std::size_t{1}, std::size_t{4}}) {
         SCOPED_TRACE(std::string(t.name) + " threads=" +
                      std::to_string(threads) + " D=" + std::to_string(d));
-        auto file_dev = make_backend(Backend::kFile, d, t.tuning);
-        auto uring_dev = make_backend(Backend::kUring, d, t.tuning);
+        auto file_dev = make_backend(Backend::kFile, d);
+        auto uring_dev = make_backend(Backend::kUring, d);
         const AlgoResult file_res = run_sort(*file_dev, t.tuning, threads);
         const AlgoResult uring_res = run_sort(*uring_dev, t.tuning, threads);
         EXPECT_EQ(file_res.checksum, uring_res.checksum);
@@ -228,7 +225,7 @@ TEST(UringDeviceTest, PersistsAcrossReopen) {
   const std::string path = temp_path("persist");
   std::vector<std::byte> buf(kBlockBytes);
   {
-    UringBlockDevice dev(path, kBlockBytes, UringBlockDevice::tuned(0),
+    UringBlockDevice dev(path, kBlockBytes, UringBlockDevice::tuned(),
                          /*keep_file=*/true);
     dev.set_checksums(true);
     const auto range = dev.allocate(4);
@@ -237,7 +234,7 @@ TEST(UringDeviceTest, PersistsAcrossReopen) {
     dev.write(0, buf);
   }
   {
-    UringBlockDevice dev(path, kBlockBytes, UringBlockDevice::tuned(0),
+    UringBlockDevice dev(path, kBlockBytes, UringBlockDevice::tuned(),
                          /*keep_file=*/true, /*preserve_contents=*/true);
     dev.set_checksums(true);
     // The allocator state does not live in the file; restore it the way a
@@ -258,7 +255,7 @@ TEST(UringDeviceTest, PersistsAcrossReopen) {
 TEST(UringDeviceTest, DirectModeRoundTrip) {
   constexpr std::size_t kBigBlock = 4096;
   UringBlockDevice dev(temp_path("direct"), kBigBlock,
-                       UringBlockDevice::tuned(1, /*direct=*/true));
+                       UringBlockDevice::tuned(/*direct=*/true));
   const auto range = dev.allocate(16);
   std::vector<std::byte> buf(kBigBlock);
   for (std::uint64_t b = 0; b < 16; ++b) {
@@ -280,19 +277,6 @@ TEST(UringDeviceTest, DirectModeRoundTrip) {
   dev.read(range.first, part);
   EXPECT_EQ(std::to_integer<int>(part[0]), 0x33);
   EXPECT_EQ(std::to_integer<int>(part[part.size() - 1]), 0x33);
-}
-
-// The derived ring geometry follows queue_depth and respects the clamps.
-TEST(UringDeviceTest, TunedGeometryFollowsQueueDepth) {
-  const auto t0 = UringBlockDevice::tuned(0);
-  EXPECT_EQ(t0.write_behind, 8u);
-  EXPECT_EQ(t0.submit_batch, 4u);
-  EXPECT_EQ(t0.ring_entries, 16u);
-  const auto t1 = UringBlockDevice::tuned(1);
-  EXPECT_EQ(t1.write_behind, 16u);
-  const auto t9 = UringBlockDevice::tuned(9);
-  EXPECT_EQ(t9.write_behind, 32u);  // clamped
-  EXPECT_TRUE(UringBlockDevice::tuned(0, true).direct);
 }
 
 // The fault/checksum substrate is inherited: corruption injected into the

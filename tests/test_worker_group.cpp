@@ -1,8 +1,8 @@
 // Multi-worker execution layer: W is geometry, never output.
 //
 // The matrix test runs distribution_sort and multi_partition under every
-// combination of worker count W in {1, 2, 4}, I/O tuning (sync, batched,
-// async) and backend (memory, file and io_uring -- all fork-safe since the
+// combination of worker count W in {1, 2, 4}, I/O tuning (sync, batched)
+// and backend (memory, file and io_uring -- all fork-safe since the
 // memory device moved to MAP_SHARED arenas -- plus memory with workers
 // forced inline via EMSPLIT_WORKERS_INLINE) and asserts the whole contract
 // at once: output bytes bit-identical across W, logical IoStats totals
@@ -68,9 +68,8 @@ struct Tuning {
 };
 
 const Tuning kTunings[] = {
-    {"sync", {1, 0, false}},
-    {"batched", {4, 0, false}},
-    {"async", {2, 2, true}},
+    {"sync", {1}},
+    {"batched", {4}},
 };
 
 std::vector<Record> dump(const EmVector<Record>& v) {
@@ -144,7 +143,7 @@ LegResult run_leg(WorkerBackend backend, const std::string& file_path,
     case WorkerBackend::kUring:
       std::remove(file_path.c_str());
       owned = std::make_unique<UringBlockDevice>(
-          file_path, kBlockBytes, UringBlockDevice::tuned(io.queue_depth));
+          file_path, kBlockBytes, UringBlockDevice::tuned());
       break;
   }
   BlockDevice* dev = owned.get();

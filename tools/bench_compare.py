@@ -11,18 +11,17 @@ are rows present in only one entry.
 
 With --backends the tool gates the backend matrix instead: in the latest
 entry, every native-uring row must run the same logical I/O count as the
-same-op batched/async rows (backend choice is geometry, never output) and
-must beat the *same entry's* async wall-clock for that op — the io_uring
-ring replaces the positional write-behind pipeline, so it has to pay for
+same-op batched row (backend choice is geometry, never output) and must
+beat the *same entry's* batched wall-clock for that op — the io_uring ring
+replaces one blocking positional call per extent, so it has to pay for
 itself against that baseline measured in the same run, under the same
 machine weather (a cross-entry wall-clock comparison would ratchet every
 appended entry against the fastest machine ever recorded; cross-entry
-drift is the default gate's job).  Rows with a block cache attached
-(cache_blocks > 0) must report cache_hits > 0.  On kernels without
-io_uring (uring_native false) the wall-clock gate is waived and only the
-geometry and cache-hit checks bind.  The "uring-direct" leg runs its own
-O_DIRECT-aligned block geometry and is probe-gated, so it is reported but
-exempt from both the geometry and wall-clock gates.
+drift is the default gate's job).  On kernels without io_uring
+(uring_native false) the wall-clock gate is waived and only the geometry
+check binds.  The "uring-direct" leg runs its own O_DIRECT-aligned block
+geometry and is probe-gated, so it is reported but exempt from both the
+geometry and wall-clock gates.
 
 With --workers the tool gates the multi-process legs of the latest entry:
 for every op with workersN rows, all of them must report identical logical
@@ -43,11 +42,10 @@ is pure bookkeeping, never a tax.
 With --service the tool gates the resident-server legs of the latest entry
 (op == "service"): every leg answers the same fixed query mix, so all legs
 must report identical per-query I/O sums and identical answer checksums
-(clients, backend and cache are load and geometry, never output — hard
-failures at any threshold), no leg may shed a query or fail a check
-(shed == 0, ok true), cache-backed legs must report cache_hits > 0, and
-every leg's wall-clock must stay within --threshold of the single-client
-file baseline (clients == 1, file backend, no cache, no pipelined batch;
+(clients and backend are load and geometry, never output — hard failures
+at any threshold), no leg may shed a query or fail a check (shed == 0, ok
+true), and every leg's wall-clock must stay within --threshold of the
+single-client file baseline (clients == 1, file backend, no pipelined batch;
 on a single-core host concurrency cannot win, the gate only forbids
 contention costing more than scheduling overhead should).
 Legs on a fallback uring backend (uring_native false) keep the hard gates
@@ -101,8 +99,7 @@ def backend_gate(entries):
         uring = [r for r in rows if r.get("backend") == "uring"]
         if not uring:
             continue
-        ref = {r.get("mode"): r for r in rows
-               if r.get("mode") in ("batched", "async")}
+        base = next((r for r in rows if r.get("mode") == "batched"), None)
         for r in uring:
             mode = r.get("mode", "?")
             if mode == "uring-direct":
@@ -113,35 +110,29 @@ def backend_gate(entries):
                       f"{r.get('ios')} ios); informational only")
                 continue
             checked += 1
+            if base is None:
+                print(f"  note {op}/{mode}: no same-entry batched row; "
+                      f"not gated")
+                continue
             # Geometry: backend choice must not move a single logical I/O.
-            for ref_mode, ref_row in sorted(ref.items()):
-                if r.get("ios") != ref_row.get("ios"):
-                    fail(f"{op}/{mode}: ios {r.get('ios')} != "
-                         f"{ref_mode} ios {ref_row.get('ios')}")
-            # Cache rows must actually hit (the counters are live, so zero
-            # means the cache never served a block).
-            if r.get("cache_blocks", 0) > 0 and r.get("cache_hits", 0) <= 0:
-                fail(f"{op}/{mode}: cache_blocks="
-                     f"{r.get('cache_blocks')} but cache_hits=0")
-            # Wall-clock: native ring must beat the same entry's async
+            if r.get("ios") != base.get("ios"):
+                fail(f"{op}/{mode}: ios {r.get('ios')} != "
+                     f"batched ios {base.get('ios')}")
+                continue
+            # Wall-clock: native ring must beat the same entry's batched
             # baseline — same run, same machine weather, so the check is
             # deterministic on a committed trajectory file.
             if not r.get("uring_native", False):
                 print(f"  note {op}/{mode}: fallback backend "
                       f"(uring_native false); wall-clock gate waived")
                 continue
-            base = ref.get("async")
-            if base is None or base.get("ios") != r.get("ios"):
-                print(f"  note {op}/{mode}: no same-entry async baseline "
-                      f"at equal ios; wall-clock gate skipped")
-                continue
             bs, ns = float(base.get("seconds", 0)), float(r.get("seconds", 0))
             verdict = "ok" if ns < bs else "FAIL"
-            print(f"  {verdict:>4} {op}/{mode}: {ns:.3f}s vs async "
+            print(f"  {verdict:>4} {op}/{mode}: {ns:.3f}s vs batched "
                   f"{bs:.3f}s at {r.get('ios')} ios")
             if ns >= bs:
                 fail(f"{op}/{mode}: {ns:.3f}s not below same-entry "
-                     f"async {bs:.3f}s")
+                     f"batched {bs:.3f}s")
 
     if checked == 0:
         print("bench_compare: no uring rows in the latest entry",
@@ -292,7 +283,6 @@ def service_gate(entries, threshold):
 
     base = next((r for r in rows
                  if r.get("clients") == 1 and r.get("backend") == "file"
-                 and r.get("cache_blocks", 0) == 0
                  and r.get("batch", 0) == 0), None)
     if base is None:
         fail("no single-client file baseline leg")
@@ -314,9 +304,6 @@ def service_gate(entries, threshold):
             fail(f"service/{mode}: shed {r.get('shed')} query(ies)")
         if not r.get("ok", False):
             fail(f"service/{mode}: in-binary check failed (ok false)")
-        if r.get("cache_blocks", 0) > 0 and r.get("cache_hits", 0) <= 0:
-            fail(f"service/{mode}: cache_blocks="
-                 f"{r.get('cache_blocks')} but cache_hits=0")
         if r is base:
             print(f"    ok service/{mode}: baseline {bs:.3f}s "
                   f"({float(r.get('qps', 0)):.0f} qps, "

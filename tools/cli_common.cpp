@@ -17,7 +17,6 @@
 namespace emsplit::cli {
 
 Machine::~Machine() {
-  if (ctx != nullptr && cache != nullptr) ctx->set_block_cache(nullptr);
   // The journal destructor returns its still-owned extents to the device,
   // and deallocation drops the freed blocks' checksum entries — snapshot
   // the sidecars first so an interrupted run's journaled blocks stay
@@ -48,7 +47,7 @@ std::unique_ptr<BlockDevice> make_member(const Options& opt,
               : "/tmp/emsplit." + std::to_string(::getpid()) + "." + name;
   if (opt.backend == "uring") {
     return std::make_unique<UringBlockDevice>(
-        path, opt.block_bytes, UringBlockDevice::tuned(opt.queue_depth),
+        path, opt.block_bytes, UringBlockDevice::tuned(),
         /*keep_file=*/persist, /*preserve_contents=*/persist);
   }
   if (opt.backend == "file" || persist) {
@@ -101,7 +100,7 @@ Machine make_machine(const Options& opt) {
   }
   m.dev->set_checksums(opt.checksums);
   m.ctx = std::make_unique<Context>(*m.dev, opt.mem_bytes);
-  m.ctx->set_io_tuning(IoTuning{opt.batch_blocks, opt.queue_depth, opt.async});
+  m.ctx->set_io_tuning(IoTuning{opt.batch_blocks});
   m.ctx->set_cpu_tuning(CpuTuning{opt.threads, opt.sort_shards});
   WorkerTuning wt;
   wt.workers = opt.workers;
@@ -120,16 +119,6 @@ Machine make_machine(const Options& opt) {
   policy.max_retries = opt.fault_retries;
   policy.backoff = std::chrono::microseconds(opt.fault_backoff_us);
   m.ctx->set_fault_policy(policy);
-  if (opt.cache_blocks > 0) {
-    m.cache = std::make_unique<BlockCache>(m.ctx->budget(), opt.block_bytes,
-                                           opt.cache_blocks);
-    if (!m.cache->enabled()) {
-      std::fprintf(stderr,
-                   "warning: block cache disabled (budget declined the first "
-                   "chunk; shrink --cache-blocks or grow --mem-bytes)\n");
-    }
-    m.ctx->set_block_cache(m.cache.get());
-  }
   if (!opt.checkpoint_dir.empty()) {
     m.journal = std::make_unique<CheckpointJournal>(
         *m.dev, opt.checkpoint_dir + "/journal.ckpt");
@@ -156,9 +145,8 @@ Machine make_machine(const Options& opt) {
                " [--hang-worker=W:R] [--corrupt-frame=W:R]\n"
                "               [--max-worker-retries=N] [--worker-timeout=S]"
                " [--degrade-after=N] [--mem-workers=N]\n"
-               "               [--backend=mem|file|uring] [--cache-blocks=N]\n"
-               "               [--shards=D] [--stripe-blocks=N]"
-               " [--batch-blocks=N] [--queue-depth=N] [--async=on|off]\n"
+               "               [--backend=mem|file|uring] [--shards=D]"
+               " [--stripe-blocks=N] [--batch-blocks=N]\n"
                "               [--trace=FILE] [--fault-policy=R[:BACKOFF_US]]"
                " [--checksums=on|off]\n"
                "               [--checkpoint-dir=DIR] [--crash-after-pass=N]"
@@ -247,9 +235,6 @@ void print_cost(const Context& ctx, std::size_t n) {
   if (io.worker_retries > 0) {
     std::printf(" + %" PRIu64 " re-executed worker I/Os", io.worker_retries);
   }
-  if (io.cache_hits > 0) {
-    std::printf(" (%" PRIu64 " served from cache)", io.cache_hits);
-  }
   const CheckpointJournal* journal = ctx.checkpoint();
   if (journal != nullptr && journal->resumed_passes() > 0) {
     std::printf(" (resumed %" PRIu64 " journaled passes)",
@@ -275,9 +260,6 @@ int parse_global_options(int argc, char** argv, Options& opt) {
           opt.backend != "uring") {
         usage("--backend takes mem|file|uring");
       }
-    } else if (arg.rfind("--cache-blocks=", 0) == 0) {
-      opt.cache_blocks = static_cast<std::size_t>(
-          parse_u64(arg.c_str() + 15, "cache-blocks"));
     } else if (arg.rfind("--threads=", 0) == 0) {
       opt.threads =
           static_cast<std::size_t>(parse_u64(arg.c_str() + 10, "threads"));
@@ -340,18 +322,6 @@ int parse_global_options(int argc, char** argv, Options& opt) {
     } else if (arg.rfind("--batch-blocks=", 0) == 0) {
       opt.batch_blocks = static_cast<std::size_t>(
           parse_u64(arg.c_str() + 15, "batch-blocks"));
-    } else if (arg.rfind("--queue-depth=", 0) == 0) {
-      opt.queue_depth = static_cast<std::size_t>(
-          parse_u64(arg.c_str() + 14, "queue-depth"));
-    } else if (arg.rfind("--async=", 0) == 0) {
-      const std::string v = arg.substr(8);
-      if (v == "on") {
-        opt.async = true;
-      } else if (v == "off") {
-        opt.async = false;
-      } else {
-        usage("--async takes on|off");
-      }
     } else if (arg.rfind("--trace=", 0) == 0) {
       opt.trace_path = arg.substr(8);
       if (opt.trace_path.empty()) usage("--trace needs a path");

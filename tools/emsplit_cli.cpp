@@ -38,8 +38,8 @@
 // and the output bytes are identical (the determinism contract in
 // docs/model.md).  --sort-shards changes the in-memory sort geometry, but
 // record order is total, so outputs still match bit-for-bit.  --shards /
-// --stripe-blocks / --batch-blocks / --queue-depth / --async are likewise
-// output-transparent: striping and batching are geometry, never output
+// --stripe-blocks / --batch-blocks are likewise output-transparent:
+// striping and batching are geometry, never output
 // (docs/model.md, "Sharded devices and the D-disk model").  Transient
 // retries never change the base I/O counts either — `[cost]` reports them
 // separately (docs/model.md, "Failure model, retries, and recovery").
