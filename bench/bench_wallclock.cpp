@@ -14,13 +14,8 @@
 // stdout and to BENCH_wallclock.json for trajectory tracking.  The tunings
 // keep the merge fan-in above the run count, so both modes perform
 // identical I/O totals and the speedup is purely per-call overhead.  The
-// batched+tN legs add CPU threads; sharded legs (shard1/2/4) repeat the
-// batched tuning through a ShardedBlockDevice striped over D file-backed
-// members: logical I/Os and checksums must not move, and each trajectory
-// row carries the per-pass trace (with per-shard counters and balance) from
-// its final rep.  The uring legs swap the backend for UringBlockDevice
-// (write-behind ring, grouped submission) at the same tuning — another
-// pure-geometry change.
+// batched+tN legs add CPU threads: logical I/Os and checksums must not move,
+// and each trajectory row carries the per-pass trace from its final rep.
 //
 // Part 2 keeps the original google-benchmark microbenches on the 4 KiB
 // geometry.
@@ -40,7 +35,6 @@
 #include "bench_util.hpp"
 #include "core/api.hpp"
 #include "em/file_io.hpp"
-#include "em/uring_device.hpp"
 #include "service/server.hpp"
 
 namespace emsplit {
@@ -53,7 +47,7 @@ std::string bench_path(const char* tag) {
 }
 
 // ---------------------------------------------------------------------------
-// Part 1: sync vs batched (and its thread, shard and backend variants).
+// Part 1: sync vs batched (and its thread and worker variants).
 // ---------------------------------------------------------------------------
 
 // Small blocks so the seed's one-syscall-per-block cost dominates: 1M records
@@ -82,23 +76,13 @@ struct ModeSpec {
   const char* name;
   IoTuning tuning;
   CpuTuning cpu{1, 1};
-  std::size_t shards = 0;        // 0 = plain FileBlockDevice; >= 1 = the
-                                 // ShardedBlockDevice facade over D members
-                                 // (D = 1 isolates facade dispatch overhead)
-  std::size_t stripe_blocks = 8;
-  const char* backend = "file";  // "file" | "uring" (backend is geometry:
-                                 // logical I/Os and checksums cannot move)
   std::size_t workers = 0;       // > 0 routes dsort/partition through the
                                  // multi-process distributed path (W is
                                  // geometry: every W must report identical
                                  // logical I/Os and output checksums)
-  bool direct = false;           // probe O_DIRECT on the uring backend
-                                 // (needs 512 | block_bytes; probe-gated —
-                                 // falls back to buffered when refused)
   // Per-leg geometry overrides.  The worker legs need blocks big enough for
-  // the distributed plan's edge/cut tables; the O_DIRECT leg needs a
-  // 512-multiple block size.  Legs that override run their own geometry and
-  // are exempt from the cross-leg determinism reference.
+  // the distributed plan's edge/cut tables.  Legs that override run their
+  // own geometry and are exempt from the cross-leg determinism reference.
   std::size_t block_bytes = kCmpBlockBytes;
   std::size_t mem_blocks = kCmpMemBlocks;
   bool supervised = false;       // arm the round supervisor (retries + hang
@@ -113,50 +97,10 @@ struct ModeResult {
   std::uint64_t peak = 0;
   std::uint64_t checksum = 0;
   bool sorted = false;
-  bool shard_sums_ok = true;     // shard_stats() partitions stats() exactly
-  bool uring_native = false;     // ring engaged (vs positional fallback)
-  bool direct_io = false;        // O_DIRECT probe accepted (uring backend)
   std::uint64_t worker_retries = 0;  // re-executed worker I/O (0 unless a
                                      // worker actually failed mid-round)
   std::string passes_json;       // JSON array of the final rep's trace rows
 };
-
-// Build the comparison device: shards = 0 is the plain file device the
-// earlier legs always used; shards >= 1 puts the ShardedBlockDevice facade
-// over D FileBlockDevice members, each its own file (the striping is
-// geometry — every logical I/O, and therefore every checksum below, must
-// be unchanged).  backend = "uring" swaps the positional-I/O file backend
-// for the io_uring ring (write-behind slots, grouped submission) — also
-// geometry, also output-invariant.
-std::unique_ptr<BlockDevice> make_cmp_device(const char* tag,
-                                             const ModeSpec& mode) {
-  const bool uring = std::string(mode.backend) == "uring";
-  const auto make_member = [&](const std::string& path)
-      -> std::unique_ptr<BlockDevice> {
-    if (uring) {
-      // Bench ring geometry: submit_batch == write_behind so a write almost
-      // never pays its own io_uring_enter — queued write SQEs ride along on
-      // the next read's submit-and-wait enter (reads and writes alternate in
-      // every pass here), and a pure write burst still amortizes one enter
-      // over 16 transfers.
-      UringBlockDevice::Tuning ring;
-      ring.ring_entries = 64;
-      ring.write_behind = 16;
-      ring.submit_batch = 16;
-      ring.direct = mode.direct;
-      return std::make_unique<UringBlockDevice>(path, mode.block_bytes, ring);
-    }
-    return std::make_unique<FileBlockDevice>(path, mode.block_bytes);
-  };
-  if (mode.shards == 0) return make_member(bench_path(tag));
-  std::vector<std::unique_ptr<BlockDevice>> members;
-  members.reserve(mode.shards);
-  for (std::size_t d = 0; d < mode.shards; ++d) {
-    members.push_back(make_member(bench_path(tag) + "." + std::to_string(d)));
-  }
-  return std::make_unique<ShardedBlockDevice>(std::move(members),
-                                              mode.stripe_blocks);
-}
 
 // Device + context + pass trace for one leg.
 struct Rig {
@@ -167,7 +111,8 @@ struct Rig {
 
 Rig make_rig(const char* tag, const ModeSpec& mode) {
   Rig rig;
-  rig.dev = make_cmp_device(tag, mode);
+  rig.dev = std::make_unique<FileBlockDevice>(bench_path(tag),
+                                              mode.block_bytes);
   rig.ctx =
       std::make_unique<Context>(*rig.dev, mode.mem_blocks * mode.block_bytes);
   rig.ctx->set_io_tuning(mode.tuning);
@@ -186,15 +131,6 @@ Rig make_rig(const char* tag, const ModeSpec& mode) {
   return rig;
 }
 
-const UringBlockDevice* rig_uring(Rig& rig, const ModeSpec& mode) {
-  if (std::string(mode.backend) != "uring") return nullptr;
-  if (mode.shards == 0) {
-    return &static_cast<const UringBlockDevice&>(*rig.dev);
-  }
-  auto& facade = static_cast<ShardedBlockDevice&>(*rig.dev);
-  return &static_cast<const UringBlockDevice&>(facade.member(0));
-}
-
 // Serialize the final rep's trace rows as a JSON array (one object per
 // pass, same schema as --trace=FILE lines) for the trajectory entry.
 std::string passes_to_json(const PassTraceLog& log) {
@@ -207,18 +143,6 @@ std::string passes_to_json(const PassTraceLog& log) {
   }
   s += "]";
   return s;
-}
-
-// Per-shard counters must partition the facade totals exactly — the bench
-// asserts the cheap half here; test_sharded_device.cpp holds the strict
-// matrix.
-bool shard_sums_match(const BlockDevice& dev) {
-  const auto shards = dev.shard_stats();
-  if (shards.empty()) return true;
-  IoStats sum;
-  for (const IoStats& s : shards) sum += s;
-  const IoStats total = dev.stats();
-  return sum.reads == total.reads && sum.writes == total.writes;
 }
 
 // Order-sensitive FNV-1a over the output records: equal checksums across
@@ -246,10 +170,6 @@ ModeResult run_mode(const char* tag, const ModeSpec& mode,
   auto host = make_workload(Workload::kUniform, cmp_records(), workload_seed);
   auto data = materialize<Record>(*rig.ctx, host);
   ModeResult res;
-  if (const UringBlockDevice* ring = rig_uring(rig, mode)) {
-    res.uring_native = ring->native();
-    res.direct_io = ring->direct_io();
-  }
   for (int rep = 0; rep < 3; ++rep) {  // best-of-3, verify untimed
     rig.dev->reset_stats();
     rig.ctx->budget().reset_peak();
@@ -266,7 +186,6 @@ ModeResult run_mode(const char* tag, const ModeSpec& mode,
     };
     body(*rig.ctx, data, res, capture);
     res.peak = rig.ctx->budget().peak();
-    res.shard_sums_ok = shard_sums_match(*rig.dev);
     if (rep == 0 || secs < res.seconds) res.seconds = secs;
   }
   // The trace covers the algorithm's passes only (reset precedes the timed
@@ -348,7 +267,6 @@ ModeResult run_select_mode(const ModeSpec& mode) {
 // in-binary here and again by bench_compare.py --service).
 struct ServiceLeg {
   const char* name;
-  const char* backend;      // "file" | "uring"
   std::size_t clients = 1;  // concurrent in-process client threads
   std::size_t batch = 0;  // >0: pipelined — queries per query_batch() call
 };
@@ -362,7 +280,6 @@ struct ServiceResult {
   std::uint64_t shed = 0;
   std::uint64_t epoch = 0;
   bool ok = true;
-  bool uring_native = false;
 };
 
 // The fixed query mix: half ranks, a quarter ranges, the rest histograms and
@@ -433,13 +350,9 @@ ServiceResult run_service_leg(const ServiceLeg& leg, const std::string& src,
   // 4 KiB blocks, M = 2048 blocks (the worker legs' geometry): a rank reads
   // the one block between its two fences.
   const IoTuning tuning{.batch_blocks = 32};
-  const ModeSpec mode{leg.name, tuning, CpuTuning{1, 1}, 0, 8, leg.backend,
-                      0,        false,  4096,            2048};
+  const ModeSpec mode{leg.name, tuning, CpuTuning{1, 1}, 0, 4096, 2048};
   Rig rig = make_rig("cmp_service", mode);
   ServiceResult res;
-  if (const UringBlockDevice* ring = rig_uring(rig, mode)) {
-    res.uring_native = ring->native();
-  }
   SplitterServer::Config scfg;
   scfg.source_path = src;
   scfg.buckets = 256;
@@ -544,11 +457,9 @@ void run_service_bench(bench::JsonEmitter& json) {
 
   constexpr std::size_t kServeBatch = 16;
   const ServiceLeg legs[] = {
-      {"serve1", "file", 1},
-      {"serve4", "file", 4},
-      {"serve4+uring", "uring", 4},
-      {"serve4+pipe", "file", 4, kServeBatch},
-      {"serve4+pipe+uring", "uring", 4, kServeBatch},
+      {"serve1", 1},
+      {"serve4", 4},
+      {"serve4+pipe", 4, kServeBatch},
   };
 
   std::printf(
@@ -568,8 +479,7 @@ void run_service_bench(bench::JsonEmitter& json) {
       ref_checksum = r.checksum;
       first_leg = false;
     }
-    // Clients and backend are load and geometry, never output: every
-    // leg must answer the mix with the same logical reads and the same bytes.
+    // Clients and pipelining are load, never output: every leg must answer the mix with the same logical reads and the same bytes.
     const bool deterministic =
         r.ios == ref_ios && r.checksum == ref_checksum;
     const double qps =
@@ -583,8 +493,6 @@ void run_service_bench(bench::JsonEmitter& json) {
     json.begin_row();
     json.field("op", std::string("service"));
     json.field("mode", std::string(leg.name));
-    json.field("backend", std::string(leg.backend));
-    json.field("uring_native", r.uring_native);
     json.field("clients", static_cast<std::uint64_t>(leg.clients));
     json.field("batch", static_cast<std::uint64_t>(leg.batch));
     json.field("buckets", std::uint64_t{256});
@@ -610,8 +518,8 @@ void run_mode_comparison() {
   // Tuning shorthands.  batched runs stream_blocks() = 32 (fan-in 127 over
   // ~65 runs: one merge pass, like sync's fan-in 4095), so both perform
   // identical I/O totals.  Every leg below batched reuses its tuning
-  // verbatim — threads, shards and backend are the only deltas, so their
-  // logical I/Os and checksums must equal the batched leg's exactly.
+  // verbatim — threads are the only delta, so their logical I/Os and
+  // checksums must equal the batched leg's exactly.
   const IoTuning kSync{.batch_blocks = 1};
   const IoTuning kBatched{.batch_blocks = 32};
 
@@ -625,35 +533,10 @@ void run_mode_comparison() {
       // single-core host these report honestly flat times.
       {"batched+t2", kBatched, CpuTuning{2, 8}},
       {"batched+t4", kBatched, CpuTuning{4, 8}},
-      // Sharded legs: the batched tuning striped over D file-backed
-      // members.  Striping is geometry, so logical I/O totals and checksums
-      // must equal the batched leg's exactly.  shard1 isolates the facade's
-      // dispatch overhead (one member, same code path).  Stripe = batch =
-      // 32 blocks: every aligned batch covers exactly one stripe, so
-      // segment splitting adds no extra member calls and the members
-      // alternate batch by batch (balance ~ 1).
-      {"shard1", kBatched, CpuTuning{1, 1}, 1, 32},
-      {"shard2", kBatched, CpuTuning{1, 1}, 2, 32},
-      {"shard4", kBatched, CpuTuning{1, 1}, 4, 32},
-      // The io_uring backend at the batched tuning: write-behind slots and
-      // grouped submission replace one blocking pwrite per extent.
-      {"uring", kBatched, CpuTuning{1, 1}, 0, 8, "uring"},
-      // O_DIRECT probe leg: the ring with page-cache bypass requested, on a
-      // 512-byte block size (the alignment O_DIRECT demands) with the same
-      // M in bytes.  Its own geometry => exempt from the cross-leg
-      // determinism reference and from bench_compare's wall gates; when the
-      // filesystem refuses the probe the leg degrades to the buffered ring
-      // and reports direct_io = false.
-      {"uring-direct", kBatched, CpuTuning{1, 1}, 0, 8, "uring", 0, true,
-       512, kCmpMemBlocks * kCmpBlockBytes / 512},
   };
   // Distribution sort (level-to-level re-reads) and multi-select (shrinking
-  // candidate re-scans) run a compact leg set: the file baseline at batched
-  // geometry and the ring.
-  const std::vector<ModeSpec> backend_modes = {
-      {"batched", kBatched},
-      {"uring", kBatched, CpuTuning{1, 1}, 0, 8, "uring"},
-  };
+  // candidate re-scans) run the batched leg only.
+  const std::vector<ModeSpec> batched_modes = {{"batched", kBatched}};
   // Worker legs: the multi-process distributed path for the two ops that
   // route through it, at W = 1, 2, 4 forked workers on a 4 KiB block
   // geometry (the tiny-block geometry above starves the distributed plan's
@@ -663,18 +546,14 @@ void run_mode_comparison() {
   // checksums — checked in-binary against the workers1 reference and again
   // by bench_compare.py --workers.
   const std::vector<ModeSpec> worker_modes = {
-      {"workers1", kBatched, CpuTuning{1, 1}, 0, 8, "file", 1, false, 4096,
-       2048},
-      {"workers2", kBatched, CpuTuning{1, 1}, 0, 8, "file", 2, false, 4096,
-       2048},
-      {"workers4", kBatched, CpuTuning{1, 1}, 0, 8, "file", 4, false, 4096,
-       2048},
+      {"workers1", kBatched, CpuTuning{1, 1}, 1, 4096, 2048},
+      {"workers2", kBatched, CpuTuning{1, 1}, 2, 4096, 2048},
+      {"workers4", kBatched, CpuTuning{1, 1}, 4, 4096, 2048},
       // Supervision armed at zero faults: the poll-driven drain, per-frame
       // checksums and retry bookkeeping must cost nothing measurable —
       // identical I/Os and checksum to workers2, worker_retries = 0, and
       // wall-clock within bench_compare.py --supervision's threshold.
-      {"workers2+sup", kBatched, CpuTuning{1, 1}, 0, 8, "file", 2, false,
-       4096, 2048, true},
+      {"workers2+sup", kBatched, CpuTuning{1, 1}, 2, 4096, 2048, true},
   };
 
   struct OpSpec {
@@ -686,15 +565,15 @@ void run_mode_comparison() {
   const OpSpec ops[] = {
       {"external_sort", run_sort_mode, &full_modes, "batched"},
       {"multi_partition", run_partition_mode, &full_modes, "batched"},
-      {"dsort", run_dsort_mode, &backend_modes, "batched"},
-      {"multi_select", run_select_mode, &backend_modes, "batched"},
+      {"dsort", run_dsort_mode, &batched_modes, "batched"},
+      {"multi_select", run_select_mode, &batched_modes, "batched"},
       {"dsort", run_dsort_mode, &worker_modes, "workers1"},
       {"multi_partition", run_partition_mode, &worker_modes, "workers1"},
   };
 
   bench::JsonEmitter json("wallclock");
   std::printf(
-      "# E10a: sync vs batched vs threads vs sharded vs uring, "
+      "# E10a: sync vs batched vs threads vs workers, "
       "B = %zu bytes, M = %zu blocks, N = %zu records\n",
       kCmpBlockBytes, kCmpMemBlocks, cmp_records());
   std::printf("# %-16s %-11s %10s %12s %10s %8s\n", "op", "mode", "secs",
@@ -718,16 +597,11 @@ void run_mode_comparison() {
       }
       // Every leg past the reference shares its stream geometry, so both
       // halves of the determinism contract are checkable right here: same
-      // logical I/O total, same output bytes.  Shard legs additionally
-      // require the per-shard counters to partition the facade totals.
+      // logical I/O total, same output bytes.
       const bool follows_ref =
-          name.rfind("batched+", 0) == 0 || name.rfind("shard", 0) == 0 ||
-          name.rfind("workers", 0) == 0 ||
-          (name.rfind("uring", 0) == 0 && name != "uring-direct");
+          name.rfind("batched+", 0) == 0 || name.rfind("workers", 0) == 0;
       const bool deterministic =
-          (!follows_ref ||
-           (r.ios == ref_ios && r.checksum == ref_checksum)) &&
-          r.shard_sums_ok;
+          !follows_ref || (r.ios == ref_ios && r.checksum == ref_checksum);
       const double speedup = r.seconds > 0 ? base_secs / r.seconds : 0.0;
       const double peak_frac = static_cast<double>(r.peak) /
                                static_cast<double>(kCmpMemBlocks * kCmpBlockBytes);
@@ -739,20 +613,12 @@ void run_mode_comparison() {
       json.begin_row();
       json.field("op", std::string(op.op));
       json.field("mode", std::string(mode.name));
-      json.field("backend", std::string(mode.backend));
-      json.field("uring_native", r.uring_native);
-      json.field("direct_io", r.direct_io);
       json.field("workers", static_cast<std::uint64_t>(mode.workers));
       json.field("supervised", mode.supervised);
       json.field("worker_retries", r.worker_retries);
       json.field("batch_blocks", static_cast<std::uint64_t>(mode.tuning.batch_blocks));
       json.field("threads", static_cast<std::uint64_t>(mode.cpu.threads));
       json.field("sort_shards", static_cast<std::uint64_t>(mode.cpu.sort_shards));
-      json.field("shards", static_cast<std::uint64_t>(mode.shards));
-      json.field("stripe_blocks",
-                 static_cast<std::uint64_t>(mode.shards > 0
-                                                ? mode.stripe_blocks
-                                                : std::size_t{0}));
       json.field("block_bytes", static_cast<std::uint64_t>(mode.block_bytes));
       json.field("mem_blocks", static_cast<std::uint64_t>(mode.mem_blocks));
       json.field("records", static_cast<std::uint64_t>(cmp_records()));

@@ -31,7 +31,6 @@
 #include "core/verify.hpp"         // verify_splitters / verify_partitioning
 #include "em/block_device.hpp"     // MemoryBlockDevice, FileBlockDevice
 #include "em/context.hpp"          // Context (M, B, budget, stats)
-#include "em/sharded_device.hpp"   // ShardedBlockDevice (D-disk striping)
 #include "em/em_vector.hpp"        // EmVector<T>
 #include "em/stream.hpp"           // StreamReader/Writer, materialize, to_host
 #include "partition/multi_partition.hpp"  // multi_partition, precise_partition

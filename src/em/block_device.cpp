@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "em/fnv.hpp"
-#include "em/posix_io.hpp"
 
 namespace emsplit {
 
@@ -59,9 +58,7 @@ void BlockDevice::reset_stats() noexcept {
   worker_retries_.store(0, std::memory_order_relaxed);
 }
 
-void BlockDevice::absorb_stats(const IoStats& delta,
-                               std::span<const IoStats> per_shard) noexcept {
-  (void)per_shard;  // one shard: the facade counters are the shard counters
+void BlockDevice::absorb_stats(const IoStats& delta) noexcept {
   reads_.fetch_add(delta.reads, std::memory_order_relaxed);
   writes_.fetch_add(delta.writes, std::memory_order_relaxed);
   retries_.fetch_add(delta.retries, std::memory_order_relaxed);
@@ -93,10 +90,6 @@ BlockRange BlockDevice::allocate(std::uint64_t count) {
 
 void BlockDevice::deallocate(const BlockRange& range) noexcept {
   if (!range.valid() || range.count == 0) return;
-  // A write-behind backend must drain in-flight writes into the extent
-  // before it becomes reusable — a recycled block's first read must see the
-  // new owner's bytes.
-  do_discard(range);
   allocated_blocks_ -= range.count;
   {
     // Drop checksum entries with the extent: a recycled block's first read
@@ -306,7 +299,6 @@ void BlockDevice::read_core(const char* op, BlockId first, std::uint64_t count,
     if (d.transient && attempt < fault_policy_.max_retries) {
       ++attempt;
       retries_.fetch_add(1, std::memory_order_relaxed);
-      note_retry(first + done);
       backoff_sleep(attempt);
       continue;
     }
@@ -339,7 +331,6 @@ void BlockDevice::write_core(const char* op, BlockId first,
     if (d.transient && attempt < fault_policy_.max_retries) {
       ++attempt;
       retries_.fetch_add(1, std::memory_order_relaxed);
-      note_retry(first + done);
       backoff_sleep(attempt);
       continue;
     }
@@ -449,58 +440,6 @@ void BlockDevice::restore(std::uint64_t size_blocks,
                               it->first < sorted[li].first + sorted[li].count;
       it = live_block ? std::next(it) : sums_.erase(it);
     }
-  }
-}
-
-void BlockDevice::write_sums_file(const std::string& path,
-                                  std::span<const SumEntry> entries) {
-  if (entries.empty()) {
-    std::remove(path.c_str());
-    return;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return;  // best-effort: losing the sidecar only loses verification
-  const std::uint64_t n = entries.size();
-  bool ok = std::fwrite(&n, sizeof(n), 1, f) == 1;
-  for (const SumEntry& e : entries) {
-    if (!ok) break;
-    ok = std::fwrite(&e.block, sizeof(e.block), 1, f) == 1 &&
-         std::fwrite(&e.len, sizeof(e.len), 1, f) == 1 &&
-         std::fwrite(&e.sum, sizeof(e.sum), 1, f) == 1;
-  }
-  std::fclose(f);
-  if (!ok) std::remove(path.c_str());
-}
-
-std::vector<SumEntry> BlockDevice::read_sums_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return {};
-  std::uint64_t n = 0;
-  std::vector<SumEntry> loaded;
-  bool ok = std::fread(&n, sizeof(n), 1, f) == 1;
-  for (std::uint64_t i = 0; ok && i < n; ++i) {
-    SumEntry e;
-    ok = std::fread(&e.block, sizeof(e.block), 1, f) == 1 &&
-         std::fread(&e.len, sizeof(e.len), 1, f) == 1 &&
-         std::fread(&e.sum, sizeof(e.sum), 1, f) == 1;
-    if (ok) loaded.push_back(e);
-  }
-  std::fclose(f);
-  if (!ok) return {};  // torn sidecar: start unverified rather than miscarry
-  return loaded;
-}
-
-void BlockDevice::save_sums(const std::string& path) const {
-  write_sums_file(path, export_sums());
-}
-
-void BlockDevice::load_sums(const std::string& path) {
-  const std::vector<SumEntry> loaded = read_sums_file(path);
-  if (loaded.empty()) return;
-  const std::lock_guard<std::mutex> lock(sum_mu_);
-  sums_.clear();
-  for (const SumEntry& e : loaded) {
-    sums_.emplace(e.block, BlockSum{e.len, e.sum});
   }
 }
 
@@ -620,6 +559,52 @@ void MemoryBlockDevice::do_write_blocks(BlockId first, std::uint64_t count,
 // FileBlockDevice
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The sidecar file format: count, then (block, len, sum) triples.
+/// Best-effort — a write failure removes the file, a torn read yields an
+/// empty vector; losing a sidecar only loses verification.  An empty entry
+/// set removes the file.
+void write_sums_file(const std::string& path,
+                     std::span<const SumEntry> entries) {
+  if (entries.empty()) {
+    std::remove(path.c_str());
+    return;
+  }
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return;  // best-effort: losing the sidecar only loses verification
+  const std::uint64_t n = entries.size();
+  bool ok = std::fwrite(&n, sizeof(n), 1, f) == 1;
+  for (const SumEntry& e : entries) {
+    if (!ok) break;
+    ok = std::fwrite(&e.block, sizeof(e.block), 1, f) == 1 &&
+         std::fwrite(&e.len, sizeof(e.len), 1, f) == 1 &&
+         std::fwrite(&e.sum, sizeof(e.sum), 1, f) == 1;
+  }
+  std::fclose(f);
+  if (!ok) std::remove(path.c_str());
+}
+
+std::vector<SumEntry> read_sums_file(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return {};
+  std::uint64_t n = 0;
+  std::vector<SumEntry> loaded;
+  bool ok = std::fread(&n, sizeof(n), 1, f) == 1;
+  for (std::uint64_t i = 0; ok && i < n; ++i) {
+    SumEntry e;
+    ok = std::fread(&e.block, sizeof(e.block), 1, f) == 1 &&
+         std::fread(&e.len, sizeof(e.len), 1, f) == 1 &&
+         std::fread(&e.sum, sizeof(e.sum), 1, f) == 1;
+    if (ok) loaded.push_back(e);
+  }
+  std::fclose(f);
+  if (!ok) return {};  // torn sidecar: start unverified rather than miscarry
+  return loaded;
+}
+
+}  // namespace
+
 FileBlockDevice::FileBlockDevice(std::string path, std::size_t block_bytes,
                                  bool keep_file, bool preserve_contents)
     : BlockDevice(block_bytes), path_(std::move(path)), keep_file_(keep_file) {
@@ -630,18 +615,23 @@ FileBlockDevice::FileBlockDevice(std::string path, std::size_t block_bytes,
     throw std::runtime_error("FileBlockDevice: cannot open " + path_ + ": " +
                              std::strerror(errno));
   }
-  if (preserve_contents) load_sums(sidecar_path());
+  // A fresh device's table is empty, so merging is loading.
+  if (preserve_contents) merge_sums(read_sums_file(sidecar_path()));
 }
 
 FileBlockDevice::~FileBlockDevice() {
-  if (keep_file_) {
-    save_sums(sidecar_path());
-  }
+  persist_sums();
   if (fd_ >= 0) ::close(fd_);
   if (!keep_file_) {
     ::unlink(path_.c_str());
     ::unlink(sidecar_path().c_str());
   }
+}
+
+void FileBlockDevice::persist_sums() {
+  if (!keep_file_ || sums_persisted_) return;
+  write_sums_file(sidecar_path(), export_sums());
+  sums_persisted_ = true;
 }
 
 void FileBlockDevice::do_grow(std::uint64_t new_size_blocks) {
@@ -654,12 +644,38 @@ void FileBlockDevice::do_grow(std::uint64_t new_size_blocks) {
 
 void FileBlockDevice::pread_span(std::uint64_t offset,
                                  std::span<std::byte> out) {
-  detail::posix_pread_span(fd_, offset, out, "FileBlockDevice");
+  std::size_t done = 0;
+  while (done < out.size()) {
+    const ssize_t n = ::pread(fd_, out.data() + done, out.size() - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error(std::string("FileBlockDevice: pread failed: ") +
+                               std::strerror(errno));
+    }
+    if (n == 0) {
+      // Past EOF of a sparse region: zero-fill, matching MemoryBlockDevice's
+      // "never-written blocks read as zeroes" contract.
+      std::memset(out.data() + done, 0, out.size() - done);
+      return;
+    }
+    done += static_cast<std::size_t>(n);
+  }
 }
 
 void FileBlockDevice::pwrite_span(std::uint64_t offset,
                                   std::span<const std::byte> in) {
-  detail::posix_pwrite_span(fd_, offset, in, "FileBlockDevice");
+  std::size_t done = 0;
+  while (done < in.size()) {
+    const ssize_t n = ::pwrite(fd_, in.data() + done, in.size() - done,
+                               static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error(std::string("FileBlockDevice: pwrite failed: ") +
+                               std::strerror(errno));
+    }
+    done += static_cast<std::size_t>(n);
+  }
 }
 
 void FileBlockDevice::do_read(BlockId block, std::span<std::byte> out) {

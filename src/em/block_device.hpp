@@ -246,14 +246,12 @@ class BlockDevice {
 
   /// Snapshot of the I/O counters.  Returns by value: the counters are
   /// atomics that other threads may be bumping concurrently.
-  /// Virtual so a composite device (ShardedBlockDevice) can report the sum
-  /// of its members' counters as the facade total.
-  [[nodiscard]] virtual IoStats stats() const noexcept;
+  [[nodiscard]] IoStats stats() const noexcept;
 
   /// Zero the counters.  Main-thread only, and only at quiescent points (no
   /// transfers in flight — e.g. between algorithm runs); a reset racing
   /// another thread's increments would produce torn totals.
-  virtual void reset_stats() noexcept;
+  void reset_stats() noexcept;
 
   /// True when a forked child process can keep transferring over the
   /// inherited handle while the parent's copy stays usable — the property the
@@ -262,44 +260,26 @@ class BlockDevice {
   /// pread/pwrite on a shared fd and offset-free file growth).
   /// MemoryBlockDevice qualifies because its pages live in MAP_SHARED
   /// anonymous arenas (prepare_fork materializes every page so a child never
-  /// needs to extend the page table).  UringBlockDevice qualifies in buffered
-  /// mode: the child must not drive the parent's ring, so child_after_fork
-  /// pins it to the positional pread/pwrite fallback over the shared fd.
+  /// needs to extend the page table).
   [[nodiscard]] virtual bool fork_safe() const noexcept { return false; }
 
   /// Called in the parent, at a quiescent point, immediately before forking
   /// cooperating workers.  A backend uses this to reach the state fork
   /// sharing needs: MemoryBlockDevice materializes all pages into its shared
-  /// arenas; UringBlockDevice drains in-flight write-behind so children read
-  /// settled bytes.  Default: nothing to prepare.
+  /// arenas.  Default: nothing to prepare.
   virtual void prepare_fork() {}
-
-  /// Called once inside a freshly forked worker, before any transfer.  A
-  /// backend uses this to drop resources it must not share with the parent:
-  /// UringBlockDevice stops driving the inherited ring and falls back to
-  /// positional I/O.  The child _exits without running destructors, so this
-  /// must not need a matching teardown.  Default: nothing to do.
-  virtual void child_after_fork() noexcept {}
 
   /// Fold I/O performed on this device by a cooperating forked worker into
   /// the counters: the child's transfers moved real blocks of the shared
   /// backing store, but its counter increments died with its address space.
-  /// `delta` is the child's stats() delta; `per_shard` its shard_stats()
-  /// delta (empty for unsharded devices).  The base device adds `delta` to
-  /// its own counters; a composite device distributes `per_shard` to its
-  /// members instead, preserving the shards-partition-the-total invariant.
-  /// Main-thread only, at quiescent points.
-  virtual void absorb_stats(const IoStats& delta,
-                            std::span<const IoStats> per_shard) noexcept;
+  /// `delta` is the child's stats() delta.  Main-thread only, at quiescent
+  /// points.
+  void absorb_stats(const IoStats& delta) noexcept;
 
-  /// Number of member shards behind this device — 1 for a plain device;
-  /// ShardedBlockDevice reports its member count.
-  [[nodiscard]] virtual std::size_t shard_count() const noexcept { return 1; }
-
-  /// Per-shard counter snapshots.  Empty for an unsharded device (callers
-  /// treat "no breakdown" and "one shard" identically); a sharded device
-  /// returns one entry per member, summing exactly to stats() minus any
-  /// facade-level retries (see ShardedBlockDevice::stats()).
+  /// Pass-boundary hook: PassRunner calls this once when a pass starts and
+  /// once when it ends, just before it records the pass's trace row.  The
+  /// result is ignored and the stock devices return nothing; a wrapping
+  /// device may override it to timestamp pass boundaries.
   [[nodiscard]] virtual std::vector<IoStats> shard_stats() const { return {}; }
 
   /// Total blocks ever grown to (capacity high-water mark).
@@ -331,10 +311,8 @@ class BlockDevice {
   }
 
   /// Retry policy for transient faults.  Main-thread only, at quiescent
-  /// points (no transfers in flight), like arm_fault.  Virtual so a
-  /// composite device can forward the policy to its members (where
-  /// member-armed faults are retried).
-  virtual void set_fault_policy(const FaultPolicy& policy) noexcept {
+  /// points (no transfers in flight), like arm_fault.
+  void set_fault_policy(const FaultPolicy& policy) noexcept {
     fault_policy_ = policy;
   }
   [[nodiscard]] const FaultPolicy& fault_policy() const noexcept {
@@ -370,9 +348,16 @@ class BlockDevice {
   /// Fold checksum entries from a cooperating process into the table (last
   /// write wins, like the local write path).
   void merge_sums(std::span<const SumEntry> entries);
-  /// The full checksum table in export form — ShardedBlockDevice partitions
-  /// this by owning member to write per-member sidecars.
+  /// The full checksum table in export form (what a sidecar persists).
   [[nodiscard]] std::vector<SumEntry> export_sums() const;
+
+  /// Persist the checksum table now, if this device keeps a sidecar, and
+  /// make that snapshot final: later deallocations and the destructor leave
+  /// it as it is.  CheckpointJournal's destructor calls this before it
+  /// returns its extents, whose entries deallocate() drops — so an
+  /// interrupted run's journaled blocks stay verifiable on resume.
+  /// Default: the device keeps no sidecar.
+  virtual void persist_sums() {}
 
   /// Count supervised re-execution I/O: `n` block transfers re-performed by
   /// the worker supervisor after a worker failed (em/worker_group.hpp).  The
@@ -384,9 +369,8 @@ class BlockDevice {
 
   /// Test injector for corruption: flip one bit of a block's stored bytes,
   /// bypassing the I/O counters and the checksum map — exactly what a torn
-  /// write or a decayed cell does to a device.  Virtual so a composite
-  /// device can route the flip to the owning member's raw bytes.
-  virtual void corrupt_bit(BlockId block, std::size_t bit);
+  /// write or a decayed cell does to a device.
+  void corrupt_bit(BlockId block, std::size_t bit);
 
   /// Recovery hook: rebuild allocator state on a device whose *contents*
   /// survived a process death (FileBlockDevice reopened over its file).
@@ -408,17 +392,6 @@ class BlockDevice {
                                std::span<const std::byte> in);
   /// Called when the device grows to `new_size_blocks` blocks.
   virtual void do_grow(std::uint64_t new_size_blocks) = 0;
-  /// Called by deallocate before an extent returns to the free list.  A
-  /// backend with in-flight write-behind (UringBlockDevice) drains writes
-  /// overlapping the range here so a recycled extent can never be clobbered
-  /// by a stale completion.
-  virtual void do_discard(const BlockRange& range) noexcept { (void)range; }
-  /// Called once per transient-fault retry with the first untransferred
-  /// block of the retried request.  A composite device overrides this to
-  /// attribute facade-level retries to the member shard that owns the block.
-  virtual void note_retry(BlockId first_failed) noexcept {
-    (void)first_failed;
-  }
 
  private:
   /// Outcome of consulting the fault injector for a `count`-I/O request.
@@ -447,22 +420,6 @@ class BlockDevice {
                    std::span<const std::byte> data) const;
   void backoff_sleep(std::uint64_t attempt) const;
 
- protected:
-  /// Sidecar checksum persistence (FileBlockDevice uses these to survive
-  /// clean restarts; a killed process simply loses the map, and unverified
-  /// reads are the safe degradation).
-  void save_sums(const std::string& path) const;
-  void load_sums(const std::string& path);
-  /// The sidecar file format, shared with ShardedBlockDevice's per-member
-  /// sidecars: count, then (block, len, sum) triples.  Best-effort — a write
-  /// failure removes the file, a torn read yields an empty vector; losing a
-  /// sidecar only loses verification.  An empty entry set removes the file.
-  static void write_sums_file(const std::string& path,
-                              std::span<const SumEntry> entries);
-  [[nodiscard]] static std::vector<SumEntry> read_sums_file(
-      const std::string& path);
-
- private:
   /// Checksum of one block as last written: FNV-1a over the `len`-byte
   /// prefix that the write actually transferred.
   struct BlockSum {
@@ -587,9 +544,12 @@ class MemoryBlockDevice final : public BlockDevice {
 /// File-backed device for wall-clock experiments and crash-recoverable runs.
 /// Uses positional reads and writes on a regular file (pread/pwrite are
 /// thread-safe by construction); the file is removed on destruction unless
-/// `keep_file` was requested.  With `preserve_contents`, an existing file is
-/// opened without truncation (and a checksum sidecar, if one was saved, is
-/// reloaded) — pair with restore() to resume a checkpointed run.
+/// `keep_file` was requested.  A kept file gets a checksum sidecar
+/// (`sidecar_path()`, written by persist_sums() or else at destruction; a
+/// killed process simply loses the map, and unverified reads are the safe
+/// degradation).  With `preserve_contents`, an existing file is opened
+/// without truncation and its sidecar, if one was saved, is reloaded — pair
+/// with restore() to resume a checkpointed run.
 class FileBlockDevice final : public BlockDevice {
  public:
   FileBlockDevice(std::string path, std::size_t block_bytes,
@@ -602,6 +562,8 @@ class FileBlockDevice final : public BlockDevice {
   /// Positional I/O on a shared fd is fork-safe; growth is idempotent
   /// (ftruncate to an absolute size), so cooperating processes compose.
   [[nodiscard]] bool fork_safe() const noexcept override { return true; }
+
+  void persist_sums() override;
 
  protected:
   void do_read(BlockId block, std::span<std::byte> out) override;
@@ -619,6 +581,7 @@ class FileBlockDevice final : public BlockDevice {
   std::string path_;
   int fd_ = -1;
   bool keep_file_;
+  bool sums_persisted_ = false;  // persist_sums() already wrote the sidecar
 };
 
 }  // namespace emsplit

@@ -117,7 +117,10 @@ CheckpointJournal::CheckpointJournal(BlockDevice& device, std::string path)
 
 CheckpointJournal::~CheckpointJournal() {
   // Return every still-owned extent; the file stays (it is the record a
-  // restarted process recovers from).
+  // restarted process recovers from).  Deallocation drops the extents'
+  // checksum entries, so the device's sidecar is persisted first: a resumed
+  // run then still verifies the journaled blocks.
+  dev_->persist_sums();
   for (auto& [fp, st] : sorts_) dev_->deallocate(st.extent);
   for (auto& [fp, st] : parts_) {
     dev_->deallocate(st.out);

@@ -56,9 +56,10 @@ inline std::uint64_t fingerprint_mix(std::uint64_t h, std::uint64_t v) {
 }
 
 /// The manifest journal.  Main-thread only.  Destroy it *before* the device
-/// it was constructed over: the destructor returns every still-owned extent
-/// to the device's free list (the journal file itself is kept — it is the
-/// recovery record).
+/// it was constructed over: the destructor persists the device's checksum
+/// sidecar (BlockDevice::persist_sums), then returns every still-owned
+/// extent to the device's free list (the journal file itself is kept — it
+/// is the recovery record).
 class CheckpointJournal {
  public:
   /// Opens (and replays) the journal at `path`, creating it if absent.

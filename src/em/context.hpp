@@ -130,8 +130,8 @@ struct SupervisionEvent {
   std::string detail;
 };
 
-/// One worker's contribution to a distributed pass — the per-worker analogue
-/// of a PassTrace row's per-shard deltas.  `seconds` is the worker's busy
+/// One worker's contribution to a distributed pass: its share of the
+/// PassTrace row's I/O delta.  `seconds` is the worker's busy
 /// time inside the round body; `barrier_seconds` the time it waited at the
 /// closing barrier for the slowest peer (max busy − own busy).
 struct PassWorkerIo {
@@ -197,12 +197,7 @@ class Context {
   /// Snapshot of the underlying device's I/O statistics.
   [[nodiscard]] IoStats io() const noexcept { return device_->stats(); }
 
-  /// Member-device count behind the context's device (1 for a plain device).
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return device_->shard_count();
-  }
-
-  /// Per-shard counter snapshots (empty for an unsharded device).
+  /// The device's pass-boundary hook (BlockDevice::shard_stats).
   [[nodiscard]] std::vector<IoStats> shard_stats() const {
     return device_->shard_stats();
   }

@@ -70,21 +70,12 @@ struct PassTrace {
   double seconds = 0.0;   ///< wall time of the pass
   std::size_t threads = 1;  ///< execution lanes configured during the pass
   bool resumed = false;   ///< true: replayed from the journal, not re-run
-  /// Per-shard I/O deltas of the pass, index-aligned with the sharded
-  /// device's members and partitioning `io`'s member sum exactly.  Empty on
-  /// an unsharded device.
-  std::vector<IoStats> shard_io;
-  /// Shard skew of the pass: max over members of that member's I/O count,
-  /// divided by the mean over members (so 1.0 = perfectly balanced, D =
-  /// everything on one member).  0.0 on an unsharded device; 1.0 for a
-  /// sharded pass that performed no I/O.
-  double balance = 0.0;
   /// Peak data-dependent working set the pass reported through
   /// Context::note_pass_hwm (0 for passes whose footprint is static — the
   /// budget's peak() already covers those).
   std::uint64_t hwm_bytes = 0;
   /// Per-worker deltas of a distributed pass (Context::note_pass_workers),
-  /// partitioning `io` exactly the way shard_io partitions the member sum.
+  /// partitioning `io` exactly.
   /// Empty for single-process passes.
   std::vector<PassWorkerIo> worker_io;
   /// Structured supervision events of the pass (Context::note_supervision):
@@ -146,9 +137,10 @@ class PassRunner {
           label_(label),
           phase_(runner.ctx_->profile(), label),
           index_(++runner.seq_),
-          start_io_(runner.ctx_->io()),
-          start_shards_(runner.ctx_->shard_stats()),
-          start_(std::chrono::steady_clock::now()) {
+          start_io_(runner.ctx_->io()) {
+      // Pass-boundary hook, then the clock (see BlockDevice::shard_stats).
+      (void)runner.ctx_->shard_stats();
+      start_ = std::chrono::steady_clock::now();
       // Stale high-water marks, worker rows or supervision events from
       // outside any pass must not leak into this pass's row.
       (void)runner.ctx_->take_pass_hwm();
@@ -167,7 +159,6 @@ class PassRunner {
     ScopedPhase phase_;
     std::uint64_t index_;
     IoStats start_io_;
-    std::vector<IoStats> start_shards_;
     std::chrono::steady_clock::time_point start_;
   };
 
@@ -382,7 +373,7 @@ class LaneScratch {
 
 /// One PassTrace row as a single-line JSON object — the `--trace=FILE`
 /// JSON-lines row and the bench binaries' per-pass tag.  Always emits the
-/// per-shard columns (`shards` is `[]` on an unsharded run).
+/// `workers` and `supervision` arrays (`[]` on a single-process pass).
 [[nodiscard]] std::string pass_trace_json(const PassTrace& trace);
 
 /// Dump a whole log as JSON-lines, one row per line.  Returns false when the

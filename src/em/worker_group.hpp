@@ -16,23 +16,22 @@
 //    over the inherited device handle (requires BlockDevice::fork_safe();
 //    FileBlockDevice's positional pread/pwrite qualifies), never allocate or
 //    deallocate extents (the coordinator pre-allocates everything), and pipe
-//    a length-framed result blob — payload, IoStats delta, per-shard deltas,
-//    busy seconds — back to the parent, then _exit without running
-//    destructors (the shared file must survive them).  The parent drains
-//    every pipe and reaps every child: that is the barrier.  The children's
-//    counter increments died with their address spaces, so the parent folds
-//    the reported deltas back into the device via absorb_stats — logical
-//    totals are identical to a single-process run of the same schedule.
+//    a length-framed result blob — payload, IoStats delta, busy seconds —
+//    back to the parent, then _exit without running destructors (the shared
+//    file must survive them).  The parent drains every pipe and reaps every
+//    child: that is the barrier.  The children's counter increments died
+//    with their address spaces, so the parent folds the reported deltas back
+//    into the device via absorb_stats — logical totals are identical to a
+//    single-process run of the same schedule.
 //
 //  * Inline (the fallback): the same work units run sequentially in the
 //    parent, in worker order, with per-worker deltas measured around each
-//    unit set.  Selected when the device is not fork-safe (MemoryBlockDevice
-//    writes would land in copy-on-write pages the parent never sees;
-//    UringBlockDevice's ring must not be driven from two processes), or
-//    under ThreadSanitizer (TSan forbids meaningful work after fork from a
-//    multithreaded process).  Block checksums compose with fork mode: a
-//    child tracks its checksum-table updates (BlockDevice::set_sum_tracking)
-//    and ships them home in the result frame, where the parent merges them.
+//    unit set.  Selected when the device is not fork-safe, when
+//    EMSPLIT_WORKERS_INLINE is set, or under ThreadSanitizer (TSan forbids
+//    meaningful work after fork from a multithreaded process).  Block
+//    checksums compose with fork mode: a child tracks its checksum-table
+//    updates (BlockDevice::set_sum_tracking) and ships them home in the
+//    result frame, where the parent merges them.
 //
 // Both modes execute the *same* unit schedule in the same order per worker —
 // mode, like W itself, is geometry, never output.
@@ -78,6 +77,21 @@
 #include "em/context.hpp"
 
 namespace emsplit {
+
+/// True in a ThreadSanitizer build.  WorkerGroup then runs every round
+/// inline: TSan forbids meaningful work after fork from a multithreaded
+/// process.
+#if defined(__SANITIZE_THREAD__)
+inline constexpr bool kThreadSanitizer = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+inline constexpr bool kThreadSanitizer = true;
+#else
+inline constexpr bool kThreadSanitizer = false;
+#endif
+#else
+inline constexpr bool kThreadSanitizer = false;
+#endif
 
 /// A worker process died (or was killed) before completing its round.  The
 /// round's pass is torn; a checkpointed job resumes it on the next run.

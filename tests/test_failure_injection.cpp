@@ -4,7 +4,11 @@
 // must succeed and produce correct output.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "core/api.hpp"
+#include "em/checkpoint.hpp"
 #include "test_helpers.hpp"
 
 namespace emsplit {
@@ -235,6 +239,8 @@ TEST(PermanentFault, CarriesExactBlockRange) {
   }
   // The three blocks that transferred before the fault were counted.
   EXPECT_EQ(dev.stats().reads, 3u);
+  // The one-shot injector disarmed after firing: the same request succeeds.
+  EXPECT_NO_THROW(dev.read_blocks(r.first, 8, std::span<std::byte>(buf)));
 }
 
 TEST(ExtentGuardTest, FreesOnUnwindAndReleases) {
@@ -315,6 +321,68 @@ TEST(Checksums, RecycledExtentDoesNotTripStaleSums) {
   ASSERT_EQ(extent.range(), first_extent);
   std::vector<std::byte> got(2 * 256);
   dev.read_blocks(extent.range().first, 2, got);  // no throw
+}
+
+// A kept file device persists its checksum table in a sidecar, so a resumed
+// run verifies the blocks it reopens.  Session 1 tears down in the library
+// order (device, then the journal that owns the extent): the journal's
+// destructor returns the extent, dropping its entries, so the sidecar must
+// already hold them — otherwise the flipped byte below reads back silently.
+TEST(Checksums, FileSidecarSurvivesReopenAndCatchesOfflineCorruption) {
+  constexpr std::size_t kBlock = 256;
+  constexpr std::uint64_t kFingerprint = 0x5EED;
+  const std::string path = testing::TempDir() + "/sidecar_reopen.dev";
+  const std::string jpath = testing::TempDir() + "/sidecar_reopen.ckpt";
+  for (const std::string& f : {path, path + ".sums", jpath}) {
+    std::remove(f.c_str());
+  }
+  const auto pattern = [](std::uint64_t b) {
+    return std::vector<std::byte>(kBlock, static_cast<std::byte>(b + 1));
+  };
+  // Reopen over the kept file, restore the allocator from the journal, and
+  // read every block of the journaled extent under verification.
+  const auto reopen_and_read = [&](std::uint64_t blocks) {
+    FileBlockDevice dev(path, kBlock, /*keep_file=*/true,
+                        /*preserve_contents=*/true);
+    dev.set_checksums(true);
+    CheckpointJournal journal(dev, jpath);
+    journal.restore_device();
+    std::vector<std::byte> got(kBlock);
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+      dev.read(b, got);
+      EXPECT_EQ(got, pattern(b)) << "block " << b;
+    }
+  };
+
+  {
+    FileBlockDevice dev(path, kBlock, /*keep_file=*/true);
+    dev.set_checksums(true);
+    CheckpointJournal journal(dev, jpath);
+    const BlockRange r = dev.allocate(4);
+    ASSERT_EQ(r.first, 0u);
+    for (std::uint64_t b = 0; b < 4; ++b) dev.write(b, pattern(b));
+    journal.publish_sort_pass(kFingerprint, 1, r, 4 * kBlock / sizeof(Record),
+                              {0});
+  }
+  EXPECT_NO_THROW(reopen_and_read(4));
+
+  // Flip one byte of block 2 while no process holds the file open.
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 2 * kBlock + 5, SEEK_SET), 0);
+    std::fputc(0x7F, f);
+    std::fclose(f);
+  }
+  try {
+    reopen_and_read(4);
+    FAIL() << "expected CorruptBlock from the persisted sidecar";
+  } catch (const CorruptBlock& e) {
+    EXPECT_EQ(e.first_block(), 2u);
+  }
+  for (const std::string& f : {path, path + ".sums", jpath}) {
+    std::remove(f.c_str());
+  }
 }
 
 TEST(Checksums, FullSortIsCleanAndCostIdentical) {

@@ -33,7 +33,6 @@
 
 #include "core/api.hpp"
 #include "em/checkpoint.hpp"
-#include "em/uring_device.hpp"
 #include "service/server.hpp"
 #include "service/splitter_index.hpp"
 #include "test_helpers.hpp"
@@ -318,27 +317,18 @@ TEST(SplitterIndexGeometry, FenceTableIsChargedForTheIndexLifetime) {
 // ---------------------------------------------------------------------------
 // The service: concurrent clients, every backend.
 
-enum class ServiceBackend { kMem, kFile, kUring };
+enum class ServiceBackend { kMem, kFile };
 
 const char* service_backend_name(ServiceBackend b) {
-  switch (b) {
-    case ServiceBackend::kMem: return "Mem";
-    case ServiceBackend::kFile: return "File";
-    default: return "Uring";
-  }
+  return b == ServiceBackend::kMem ? "Mem" : "File";
 }
 
 std::unique_ptr<BlockDevice> make_service_device(ServiceBackend b,
                                                  const std::string& path) {
-  switch (b) {
-    case ServiceBackend::kMem:
-      return std::make_unique<MemoryBlockDevice>(kBlockBytes);
-    case ServiceBackend::kFile:
-      return std::make_unique<FileBlockDevice>(path, kBlockBytes);
-    default:
-      return std::make_unique<UringBlockDevice>(path, kBlockBytes,
-                                                UringBlockDevice::tuned());
+  if (b == ServiceBackend::kMem) {
+    return std::make_unique<MemoryBlockDevice>(kBlockBytes);
   }
+  return std::make_unique<FileBlockDevice>(path, kBlockBytes);
 }
 
 /// The fixed query script every client replays: a mix of all four kinds.
@@ -464,8 +454,7 @@ TEST_P(SplitterServiceMatrix, ConcurrentScriptIsDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, SplitterServiceMatrix,
-    ::testing::Values(ServiceBackend::kMem, ServiceBackend::kFile,
-                      ServiceBackend::kUring),
+    ::testing::Values(ServiceBackend::kMem, ServiceBackend::kFile),
     [](const auto& p) { return std::string(service_backend_name(p.param)); });
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 //
 // The matrix test runs distribution_sort and multi_partition under every
 // combination of worker count W in {1, 2, 4}, I/O tuning (sync, batched)
-// and backend (memory, file and io_uring -- all fork-safe since the
-// memory device moved to MAP_SHARED arenas -- plus memory with workers
-// forced inline via EMSPLIT_WORKERS_INLINE) and asserts the whole contract
+// and backend (memory and file -- both fork-safe since the memory device
+// moved to MAP_SHARED arenas -- plus memory with workers forced inline via
+// EMSPLIT_WORKERS_INLINE) and asserts the whole contract
 // at once: output bytes bit-identical across W, logical IoStats totals
 // identical across W, and every distributed pass's per-worker trace rows
 // partitioning that pass's I/O delta exactly.
@@ -37,7 +37,6 @@
 #include "dist/dist_plan.hpp"
 #include "em/checkpoint.hpp"
 #include "em/pass_engine.hpp"
-#include "em/uring_device.hpp"
 #include "em/worker_group.hpp"
 #include "test_helpers.hpp"
 
@@ -110,19 +109,18 @@ struct LegResult {
 
 /// The execution-mode matrix: every backend forks by default (they are all
 /// fork-safe), and kMemInline pins the legacy inline path via the env knob.
-enum class WorkerBackend { kMemInline, kMem, kFile, kUring };
+enum class WorkerBackend { kMemInline, kMem, kFile };
 
 constexpr const char* backend_name(WorkerBackend b) {
   switch (b) {
     case WorkerBackend::kMemInline: return "InlineMemory";
     case WorkerBackend::kMem: return "ForkedMemory";
-    case WorkerBackend::kFile: return "ForkedFile";
-    default: return "ForkedUring";
+    default: return "ForkedFile";
   }
 }
 
 /// One (backend, tuning, W, op) leg.  `file_path` names the backing file for
-/// the file/uring backends (unused for memory).
+/// the file backend (unused for memory).
 LegResult run_leg(WorkerBackend backend, const std::string& file_path,
                   const IoTuning& io, std::size_t W, bool partition,
                   const std::vector<Record>& host) {
@@ -139,11 +137,6 @@ LegResult run_leg(WorkerBackend backend, const std::string& file_path,
     case WorkerBackend::kFile:
       std::remove(file_path.c_str());
       owned = std::make_unique<FileBlockDevice>(file_path, kBlockBytes);
-      break;
-    case WorkerBackend::kUring:
-      std::remove(file_path.c_str());
-      owned = std::make_unique<UringBlockDevice>(
-          file_path, kBlockBytes, UringBlockDevice::tuned());
       break;
   }
   BlockDevice* dev = owned.get();
@@ -242,7 +235,7 @@ TEST_P(WorkerTransparency, OutputAndIoInvariantAcrossW) {
 INSTANTIATE_TEST_SUITE_P(
     Backends, WorkerTransparency,
     ::testing::Values(WorkerBackend::kMemInline, WorkerBackend::kMem,
-                      WorkerBackend::kFile, WorkerBackend::kUring),
+                      WorkerBackend::kFile),
     [](const auto& param_info) { return backend_name(param_info.param); });
 
 // ---------------------------------------------------------------------------
@@ -361,7 +354,8 @@ TEST(WorkerGroupMode, ForkRequiresForkSafeDevice) {
   mem_ctx.set_worker_tuning({2});
   ASSERT_TRUE(mem_dev.fork_safe());
   WorkerGroup mem_group(mem_ctx);
-  EXPECT_TRUE(mem_group.forked())
+  // A ThreadSanitizer build runs every group inline (kThreadSanitizer).
+  EXPECT_EQ(mem_group.forked(), !kThreadSanitizer)
       << "shared-arena memory device no longer forks";
   EXPECT_EQ(mem_group.workers(), 2u);
 
@@ -379,13 +373,13 @@ TEST(WorkerGroupMode, ForkRequiresForkSafeDevice) {
   Context file_ctx(file_dev, kMemBlocks * kBlockBytes);
   file_ctx.set_worker_tuning({2});
   WorkerGroup forked_group(file_ctx);
-  EXPECT_TRUE(forked_group.forked());
+  EXPECT_EQ(forked_group.forked(), !kThreadSanitizer);
 
   // Checksums no longer force inline: children track their checksum-table
   // updates (set_sum_tracking) and ship them home in the result frame.
   file_dev.set_checksums(true);
   WorkerGroup checksummed_group(file_ctx);
-  EXPECT_TRUE(checksummed_group.forked());
+  EXPECT_EQ(checksummed_group.forked(), !kThreadSanitizer);
   std::remove(dev_path.c_str());
 }
 
@@ -406,7 +400,8 @@ TEST(WorkerGroupMode, ForkedChecksumsCoverChildWrites) {
   ctx.set_worker_tuning({2});
   {
     WorkerGroup probe(ctx);
-    ASSERT_TRUE(probe.forked()) << "checksums must not force inline anymore";
+    ASSERT_EQ(probe.forked(), !kThreadSanitizer)
+        << "checksums must not force inline anymore";
   }
   auto input = materialize<Record>(ctx, std::span<const Record>(host));
   auto out = distribution_sort<Record>(ctx, input);
@@ -550,7 +545,7 @@ TEST_P(ForkedSupervision, RecoversWithIdenticalBaseIo) {
     Context ctx(dev, kMemBlocks * kBlockBytes);
     ctx.set_worker_tuning({2});
     WorkerGroup group(ctx);
-    ASSERT_TRUE(group.forked());
+    ASSERT_EQ(group.forked(), !kThreadSanitizer);
     SupervisedRound round(dev);
     dev.reset_stats();
     RoundOutcome out = group.round("sup", round.body());
@@ -586,7 +581,7 @@ TEST_P(ForkedSupervision, RecoversWithIdenticalBaseIo) {
   }
   ctx.set_worker_tuning(wt);
   WorkerGroup group(ctx);
-  ASSERT_TRUE(group.forked());
+  ASSERT_EQ(group.forked(), !kThreadSanitizer);
 
   SupervisedRound round(dev);
   dev.reset_stats();
@@ -704,7 +699,9 @@ TEST(WorkerSupervision, MemWorkersBoundsChildPeaksAndStaysWInvariant) {
             << row.pass << " worker " << wio.worker;
       }
     }
-    EXPECT_GT(peaks_seen, 0u) << "no forked worker reported a budget peak";
+    if (!kThreadSanitizer) {  // inline rows under TSan report no peak
+      EXPECT_GT(peaks_seen, 0u) << "no forked worker reported a budget peak";
+    }
 
     ctx.set_pass_trace(nullptr);
     std::remove(path.c_str());

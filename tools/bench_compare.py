@@ -9,20 +9,6 @@ performing the *same* number of I/Os.  Rows whose I/O counts differ are a
 geometry change, not a perf regression — they are reported and skipped, as
 are rows present in only one entry.
 
-With --backends the tool gates the backend matrix instead: in the latest
-entry, every native-uring row must run the same logical I/O count as the
-same-op batched row (backend choice is geometry, never output) and must
-beat the *same entry's* batched wall-clock for that op — the io_uring ring
-replaces one blocking positional call per extent, so it has to pay for
-itself against that baseline measured in the same run, under the same
-machine weather (a cross-entry wall-clock comparison would ratchet every
-appended entry against the fastest machine ever recorded; cross-entry
-drift is the default gate's job).  On kernels without io_uring
-(uring_native false) the wall-clock gate is waived and only the geometry
-check binds.  The "uring-direct" leg runs its own O_DIRECT-aligned block
-geometry and is probe-gated, so it is reported but exempt from both the
-geometry and wall-clock gates.
-
 With --workers the tool gates the multi-process legs of the latest entry:
 for every op with workersN rows, all of them must report identical logical
 I/O counts AND identical output checksums (W is geometry, never output —
@@ -42,18 +28,16 @@ is pure bookkeeping, never a tax.
 With --service the tool gates the resident-server legs of the latest entry
 (op == "service"): every leg answers the same fixed query mix, so all legs
 must report identical per-query I/O sums and identical answer checksums
-(clients and backend are load and geometry, never output — hard failures
-at any threshold), no leg may shed a query or fail a check (shed == 0, ok
-true), and every leg's wall-clock must stay within --threshold of the
-single-client file baseline (clients == 1, file backend, no pipelined batch;
-on a single-core host concurrency cannot win, the gate only forbids
-contention costing more than scheduling overhead should).
-Legs on a fallback uring backend (uring_native false) keep the hard gates
-but waive the wall-clock check.
+(clients and pipelining are load, never output — hard failures at any
+threshold), no leg may shed a query or fail a check (shed == 0, ok true),
+and every leg's wall-clock must stay within --threshold of the
+single-client baseline (clients == 1, no pipelined batch; on a single-core
+host concurrency cannot win, the gate only forbids contention costing more
+than scheduling overhead should).
 
 Usage:
-    tools/bench_compare.py [FILE] [--threshold=0.10] [--backends]
-                           [--workers] [--supervision] [--service]
+    tools/bench_compare.py [FILE] [--threshold=0.10] [--workers]
+                           [--supervision] [--service]
 
 Exit status: 0 = no regression (including "fewer than two entries"),
 1 = at least one regression, 2 = bad input.
@@ -75,75 +59,6 @@ def load_entries(path):
 
 def row_key(row):
     return (row.get("op", "?"), row.get("mode", "?"))
-
-
-def backend_gate(entries):
-    """Gate the latest entry's backend matrix (see module docstring)."""
-    new = entries[-1]
-    new_rows = new.get("rows", [])
-    print(f"bench_compare: backend gate on '{new.get('label', '?')}'")
-
-    failures = 0
-
-    def fail(msg):
-        nonlocal failures
-        failures += 1
-        print(f"  FAIL {msg}", file=sys.stderr)
-
-    by_op = {}
-    for r in new_rows:
-        by_op.setdefault(r.get("op", "?"), []).append(r)
-
-    checked = 0
-    for op, rows in sorted(by_op.items()):
-        uring = [r for r in rows if r.get("backend") == "uring"]
-        if not uring:
-            continue
-        base = next((r for r in rows if r.get("mode") == "batched"), None)
-        for r in uring:
-            mode = r.get("mode", "?")
-            if mode == "uring-direct":
-                # Own block geometry + probe-gated: report, don't gate.
-                print(f"  note {op}/{mode}: O_DIRECT "
-                      f"{'engaged' if r.get('direct_io') else 'refused'} "
-                      f"({float(r.get('seconds', 0)):.3f}s at "
-                      f"{r.get('ios')} ios); informational only")
-                continue
-            checked += 1
-            if base is None:
-                print(f"  note {op}/{mode}: no same-entry batched row; "
-                      f"not gated")
-                continue
-            # Geometry: backend choice must not move a single logical I/O.
-            if r.get("ios") != base.get("ios"):
-                fail(f"{op}/{mode}: ios {r.get('ios')} != "
-                     f"batched ios {base.get('ios')}")
-                continue
-            # Wall-clock: native ring must beat the same entry's batched
-            # baseline — same run, same machine weather, so the check is
-            # deterministic on a committed trajectory file.
-            if not r.get("uring_native", False):
-                print(f"  note {op}/{mode}: fallback backend "
-                      f"(uring_native false); wall-clock gate waived")
-                continue
-            bs, ns = float(base.get("seconds", 0)), float(r.get("seconds", 0))
-            verdict = "ok" if ns < bs else "FAIL"
-            print(f"  {verdict:>4} {op}/{mode}: {ns:.3f}s vs batched "
-                  f"{bs:.3f}s at {r.get('ios')} ios")
-            if ns >= bs:
-                fail(f"{op}/{mode}: {ns:.3f}s not below same-entry "
-                     f"batched {bs:.3f}s")
-
-    if checked == 0:
-        print("bench_compare: no uring rows in the latest entry",
-              file=sys.stderr)
-        return 1
-    if failures:
-        print(f"bench_compare: backend gate failed ({failures} check(s))",
-              file=sys.stderr)
-        return 1
-    print(f"bench_compare: backend gate passed ({checked} uring row(s))")
-    return 0
 
 
 def workers_gate(entries, threshold):
@@ -282,10 +197,9 @@ def service_gate(entries, threshold):
         return 1
 
     base = next((r for r in rows
-                 if r.get("clients") == 1 and r.get("backend") == "file"
-                 and r.get("batch", 0) == 0), None)
+                 if r.get("clients") == 1 and r.get("batch", 0) == 0), None)
     if base is None:
-        fail("no single-client file baseline leg")
+        fail("no single-client baseline leg")
         base = rows[0]
     bs = float(base.get("seconds", 0))
 
@@ -309,10 +223,6 @@ def service_gate(entries, threshold):
                   f"({float(r.get('qps', 0)):.0f} qps, "
                   f"p99 {1e3 * float(r.get('p99_seconds', 0)):.3f}ms)")
             continue
-        if r.get("backend") == "uring" and not r.get("uring_native", False):
-            print(f"  note service/{mode}: fallback backend "
-                  f"(uring_native false); wall-clock gate waived")
-            continue
         ns = float(r.get("seconds", 0))
         if bs > 0 and ns > bs * (1.0 + threshold):
             fail(f"service/{mode}: {ns:.3f}s exceeds baseline "
@@ -333,15 +243,12 @@ def service_gate(entries, threshold):
 def main(argv):
     path = "BENCH_wallclock.json"
     threshold = 0.10
-    backends = False
     workers = False
     supervision = False
     service = False
     for arg in argv[1:]:
         if arg.startswith("--threshold="):
             threshold = float(arg.split("=", 1)[1])
-        elif arg == "--backends":
-            backends = True
         elif arg == "--workers":
             workers = True
         elif arg == "--supervision":
@@ -363,13 +270,11 @@ def main(argv):
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
         return 2
 
-    if backends or workers or supervision or service:
+    if workers or supervision or service:
         if not entries:
             print(f"bench_compare: no entries in {path}", file=sys.stderr)
             return 2
         rc = 0
-        if backends:
-            rc = backend_gate(entries) or rc
         if workers:
             rc = workers_gate(entries, threshold) or rc
         if supervision:

@@ -11,22 +11,9 @@
 #include <cstring>
 #include <fstream>
 
-#include "em/sharded_device.hpp"
-#include "em/uring_device.hpp"
-
 namespace emsplit::cli {
 
 Machine::~Machine() {
-  // The journal destructor returns its still-owned extents to the device,
-  // and deallocation drops the freed blocks' checksum entries — snapshot
-  // the sidecars first so an interrupted run's journaled blocks stay
-  // verifiable on resume.  (On a completed run the journal owns nothing,
-  // the table is empty, and the flush removes the sidecar files.)
-  if (journal != nullptr && dev != nullptr) {
-    if (auto* sh = dynamic_cast<ShardedBlockDevice*>(dev.get())) {
-      sh->flush_member_sidecars();
-    }
-  }
   if (trace != nullptr && !trace_path.empty() &&
       !write_pass_trace_jsonl(*trace, trace_path)) {
     std::fprintf(stderr, "warning: could not write trace file %s\n",
@@ -34,69 +21,21 @@ Machine::~Machine() {
   }
 }
 
-namespace {
-
-std::unique_ptr<BlockDevice> make_member(const Options& opt,
-                                         const std::string& name) {
-  // Crash-recoverable runs keep the device file (and re-adopt its blocks on
-  // the next start); otherwise file-backed backends use a private scratch
-  // file removed on exit.
-  const bool persist = !opt.checkpoint_dir.empty();
-  const std::string path =
-      persist ? opt.checkpoint_dir + "/" + name
-              : "/tmp/emsplit." + std::to_string(::getpid()) + "." + name;
-  if (opt.backend == "uring") {
-    return std::make_unique<UringBlockDevice>(
-        path, opt.block_bytes, UringBlockDevice::tuned(),
-        /*keep_file=*/persist, /*preserve_contents=*/persist);
-  }
-  if (opt.backend == "file" || persist) {
-    return std::make_unique<FileBlockDevice>(path, opt.block_bytes,
-                                             /*keep_file=*/persist,
-                                             /*preserve_contents=*/persist);
-  }
-  return std::make_unique<MemoryBlockDevice>(opt.block_bytes);
-}
-
-}  // namespace
-
 Machine make_machine(const Options& opt) {
   Machine m;
-  if (opt.backend == "uring") {
-    // Capability note on stderr so stdout stays byte-identical across hosts
-    // (backend choice is geometry, never output).
-    std::fprintf(stderr, "[backend] uring: %s\n",
-                 UringBlockDevice::uring_supported()
-                     ? "native io_uring ring"
-                     : "fallback (io_uring unavailable; positional I/O)");
-  }
-  if (opt.shards > 1) {
-    // D-disk machine: one member device per shard behind a striping facade.
-    // With --checkpoint-dir each member persists as its own file, and when
-    // checksums are on the facade's per-member checksum maps persist too
-    // (".ssums" sidecars next to each member file): a restarted run resumes
-    // with corruption detection intact instead of starting unverified.
-    std::vector<std::unique_ptr<BlockDevice>> members;
-    std::vector<std::string> sidecars;
-    members.reserve(opt.shards);
-    const bool persist = !opt.checkpoint_dir.empty();
-    for (std::size_t d = 0; d < opt.shards; ++d) {
-      const std::string name = "device.shard" + std::to_string(d) + ".bin";
-      members.push_back(make_member(opt, name));
-      sidecars.push_back((persist ? opt.checkpoint_dir + "/" + name
-                                  : "/tmp/emsplit." +
-                                        std::to_string(::getpid()) + "." +
-                                        name) +
-                         ".ssums");
-    }
-    auto sharded = std::make_unique<ShardedBlockDevice>(std::move(members),
-                                                        opt.stripe_blocks);
-    if (persist && opt.checksums) {
-      sharded->set_member_sidecars(std::move(sidecars), /*preserve=*/true);
-    }
-    m.dev = std::move(sharded);
+  // Crash-recoverable runs keep the device file (and re-adopt its blocks on
+  // the next start); otherwise the file backend uses a private scratch file
+  // removed on exit.
+  const bool persist = !opt.checkpoint_dir.empty();
+  if (opt.backend == "file" || persist) {
+    const std::string path =
+        persist ? opt.checkpoint_dir + "/device.bin"
+                : "/tmp/emsplit." + std::to_string(::getpid()) + ".device.bin";
+    m.dev = std::make_unique<FileBlockDevice>(path, opt.block_bytes,
+                                              /*keep_file=*/persist,
+                                              /*preserve_contents=*/persist);
   } else {
-    m.dev = make_member(opt, "device.bin");
+    m.dev = std::make_unique<MemoryBlockDevice>(opt.block_bytes);
   }
   m.dev->set_checksums(opt.checksums);
   m.ctx = std::make_unique<Context>(*m.dev, opt.mem_bytes);
@@ -145,8 +84,7 @@ Machine make_machine(const Options& opt) {
                " [--hang-worker=W:R] [--corrupt-frame=W:R]\n"
                "               [--max-worker-retries=N] [--worker-timeout=S]"
                " [--degrade-after=N] [--mem-workers=N]\n"
-               "               [--backend=mem|file|uring] [--shards=D]"
-               " [--stripe-blocks=N] [--batch-blocks=N]\n"
+               "               [--backend=mem|file] [--batch-blocks=N]\n"
                "               [--trace=FILE] [--fault-policy=R[:BACKOFF_US]]"
                " [--checksums=on|off]\n"
                "               [--checkpoint-dir=DIR] [--crash-after-pass=N]"
@@ -256,9 +194,8 @@ int parse_global_options(int argc, char** argv, Options& opt) {
           static_cast<std::size_t>(parse_u64(arg.c_str() + 12, "mem-bytes"));
     } else if (arg.rfind("--backend=", 0) == 0) {
       opt.backend = arg.substr(10);
-      if (opt.backend != "mem" && opt.backend != "file" &&
-          opt.backend != "uring") {
-        usage("--backend takes mem|file|uring");
+      if (opt.backend != "mem" && opt.backend != "file") {
+        usage("--backend takes mem|file");
       }
     } else if (arg.rfind("--threads=", 0) == 0) {
       opt.threads =
@@ -311,14 +248,6 @@ int parse_global_options(int argc, char** argv, Options& opt) {
       opt.mem_workers = static_cast<std::size_t>(
           parse_u64(arg.c_str() + 14, "mem-workers"));
       if (opt.mem_workers == 0) usage("--mem-workers must be positive");
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      opt.shards =
-          static_cast<std::size_t>(parse_u64(arg.c_str() + 9, "shards"));
-      if (opt.shards == 0) usage("--shards must be positive");
-    } else if (arg.rfind("--stripe-blocks=", 0) == 0) {
-      opt.stripe_blocks = static_cast<std::size_t>(
-          parse_u64(arg.c_str() + 16, "stripe-blocks"));
-      if (opt.stripe_blocks == 0) usage("--stripe-blocks must be positive");
     } else if (arg.rfind("--batch-blocks=", 0) == 0) {
       opt.batch_blocks = static_cast<std::size_t>(
           parse_u64(arg.c_str() + 15, "batch-blocks"));

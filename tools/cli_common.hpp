@@ -39,8 +39,6 @@ struct Options {
   double worker_timeout = 0.0;
   std::uint64_t degrade_after = 0;
   std::size_t mem_workers = 1;
-  std::size_t shards = 1;
-  std::size_t stripe_blocks = 8;
   std::size_t batch_blocks = 1;
   std::string trace_path;
   std::uint64_t fault_retries = 0;
@@ -51,8 +49,9 @@ struct Options {
 };
 
 /// The simulated machine one command runs on.  Destruction order matters:
-/// the journal returns its extents to the device, so it must die first —
-/// members are declared device, journal, context and destroyed in reverse.
+/// the journal persists the device's checksum sidecar and returns its
+/// extents to the device, so it must die first — members are declared
+/// device, journal, context and destroyed in reverse.
 /// The destructor flushes the `--trace` log (every pass has completed by
 /// then, and the context is still alive during the destructor body).
 struct Machine {

@@ -48,3 +48,56 @@ foreach(opt --cache-blocks=64 --queue-depth=1 --async=on)
     message(FATAL_ERROR "${opt} was accepted (${rc}):\n${err}")
   endif()
 endforeach()
+
+# Removed device options are refused with a usage error; --sort-shards (the
+# in-memory sort geometry) is unaffected.
+foreach(pair backend:uring shards:2 stripe-blocks:8)
+  string(REPLACE ":" "=" opt "--${pair}")
+  execute_process(COMMAND ${CLI} ${opt} info data.bin
+    WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc
+    OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "usage: emsplit")
+    message(FATAL_ERROR "${opt}: want a usage error (exit 2), got (${rc}):\n${err}")
+  endif()
+endforeach()
+run(--sort-shards=2 sort data.bin sorted2.bin)
+
+# Corruption on resume: a checksummed run killed mid-job keeps its device
+# file and checksum sidecar; a byte flipped in the device while no process
+# runs must fail the resume with a checksum mismatch, not yield wrong output.
+find_program(PYTHON3 NAMES python3)
+if(NOT PYTHON3)
+  message(FATAL_ERROR "python3 is needed to flip a byte of the device file")
+endif()
+run(gen wdata.bin 1000000 uniform 13)
+file(REMOVE_RECURSE ${WORKDIR}/ck)
+file(MAKE_DIRECTORY ${WORKDIR}/ck)
+set(resume_args --mem-bytes=8388608 --workers=2 --checksums=on
+  --checkpoint-dir=ck dsort wdata.bin wout.bin)
+execute_process(COMMAND ${CLI} --kill-worker=1:2 ${resume_args}
+  WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc
+  OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 137)
+  message(FATAL_ERROR "killed run: want exit 137, got (${rc}):\n${err}")
+endif()
+file(WRITE ${WORKDIR}/flip.py "import os, sys
+p = sys.argv[1]
+mid = os.path.getsize(p) // 2
+with open(p, 'r+b') as f:
+    f.seek(mid)
+    b = f.read(1)
+    f.seek(mid)
+    f.write(bytes([b[0] ^ 1]))
+")
+execute_process(COMMAND ${PYTHON3} flip.py ck/device.bin
+  WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "could not flip a byte of ck/device.bin")
+endif()
+execute_process(COMMAND ${CLI} ${resume_args}
+  WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0 OR NOT err MATCHES "checksum mismatch")
+  message(FATAL_ERROR
+    "resume over a corrupted device: want a checksum mismatch, got (${rc}):\n${out}\n${err}")
+endif()

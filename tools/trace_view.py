@@ -4,8 +4,8 @@
 Every engine-run pass emits one JSON object per line (see pass_trace_json in
 em/pass_engine.cpp).  This tool lays the passes out as a timeline — one row
 per pass with a proportional span bar — plus the columns that explain where
-the cost went: logical I/Os, the pass's in-memory high-water mark, and the shard balance factor (max member share x D; 1.0 = perfectly
-even striping).  Distributed passes (run under --workers=W) additionally
+the cost went: logical I/Os and the pass's in-memory high-water mark.
+Distributed passes (run under --workers=W) additionally
 list one indented sub-row per worker: its share of the pass's I/O, its busy
 seconds, and how long it waited at the closing barrier for the slowest
 peer.  Traces written before the worker layer existed simply lack the
@@ -140,7 +140,7 @@ def render(rows, width, out=sys.stdout):
                    for r in timed)
 
     header = (f"  {'#':>2} {'job/pass':<28} {'reads':>9} {'writes':>9} "
-              f"{'hwm':>9} {'bal':>5} {'secs':>8}  "
+              f"{'hwm':>9} {'secs':>8}  "
               f"timeline ({total:.3f}s total)")
     print(header, file=out)
     start = 0.0
@@ -153,32 +153,27 @@ def render(rows, width, out=sys.stdout):
             name = name[:27] + "…"
         if r.get("resumed", False):
             print(f"  {r.get('index', 0):>2} {name:<28} "
-                  f"{'-':>9} {'-':>9} {'-':>9} {'-':>5} {'-':>8}  "
+                  f"{'-':>9} {'-':>9} {'-':>9} {'-':>8}  "
                   f"[resumed from checkpoint]", file=out)
             continue
         secs = float(r.get("seconds", 0))
-        balance = r.get("balance", 1.0)
-        bal = f"{balance:.2f}" if r.get("shards") else "-"
         bar = span_bar(start, secs, total, width)
         print(f"  {r.get('index', 0):>2} {name:<28} "
               f"{int(r.get('reads', 0)):>9} {int(r.get('writes', 0)):>9} "
               f"{human_bytes(int(r.get('hwm_bytes', 0))):>9} "
-              f"{bal:>5} {secs:>8.3f}  {bar}", file=out)
+              f"{secs:>8.3f}  {bar}", file=out)
         for w in r.get("workers", []):
             wname = f"└ worker {int(w.get('id', 0))}"
             wait = float(w.get("barrier_seconds", 0.0))
             print(f"     {wname:<28} "
                   f"{int(w.get('reads', 0)):>9} {int(w.get('writes', 0)):>9} "
-                  f"{'-':>9} {'-':>5} "
+                  f"{'-':>9} "
                   f"{float(w.get('seconds', 0.0)):>8.3f}  "
                   f"barrier wait {wait:.3f}s", file=out)
         start += secs
 
-    shards = max((len(r.get("shards", [])) for r in rows), default=0)
     workers = max((len(r.get("workers", [])) for r in rows), default=0)
     tail = f"  {len(rows)} pass(es), {total_io} logical I/Os, {total:.3f}s"
-    if shards:
-        tail += f", {shards} shard(s)"
     if workers:
         tail += f", {workers} worker(s)"
     resumed = sum(1 for r in rows if r.get("resumed", False))
