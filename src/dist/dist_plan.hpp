@@ -26,7 +26,8 @@
 // coordinator's planning tables (samples, cut matrix, edge records) and at
 // most 5/8 for one worker unit (gather buffer or merge cursors, plus the
 // part writer and two staging blocks).  Both coexist in inline mode, where
-// worker units run in the coordinator's own budget.
+// worker units run in the coordinator's own budget — including the
+// one-lane group a context with `workers() == 0` gets.
 #pragma once
 
 #include <algorithm>
@@ -91,18 +92,20 @@ template <EmRecord T>
   return p;
 }
 
-/// Can the distributed protocol run this job within the memory plan?  False
-/// routes the caller to the classic single-process path (identical output —
-/// the fallback is itself trivially W-invariant).  `extra_ranks` is the
-/// requested split-rank count (0 for a full sort); it widens the cut matrix.
+/// Does the job's geometry fit the memory plan?  Independent of W: at
+/// `workers() == 0` the plan runs as one inline lane (em/worker_group.hpp),
+/// which is how SplitterIndex::build sorts.  `extra_ranks` is the requested
+/// split-rank count (0 for a full sort); it widens the cut matrix.
 ///
 /// The `used() == 0` guard rejects *nested* invocations: an algorithm that
 /// calls multi_partition while holding reservations (the splitter recursion,
-/// a bucket leaf) must not stack a second full memory plan on top.
+/// a bucket leaf) must not stack a second full memory plan on top.  It also
+/// rejects a build against an already charged budget, such as a service
+/// refresh while the live epoch's fence table is held.
 template <EmRecord T>
-[[nodiscard]] bool dist_supported(const Context& ctx, std::size_t n,
-                                  std::size_t extra_ranks) {
-  if (ctx.workers() == 0 || n == 0) return false;
+[[nodiscard]] bool dist_fits(const Context& ctx, std::size_t n,
+                             std::size_t extra_ranks) {
+  if (n == 0) return false;
   if (ctx.budget().used() != 0) return false;
   const DistPlan p = make_dist_plan<T>(ctx, n);
   if (p.n_runs < 2) return true;  // one run: the formation pass finishes it
@@ -124,6 +127,16 @@ template <EmRecord T>
     return false;
   }
   return true;
+}
+
+/// Do `distribution_sort` and `multi_partition` take the distributed path?
+/// Only with workers configured (`--workers` >= 1) and a plan that fits.
+/// False routes the caller to the classic single-process path (identical
+/// output — the fallback is itself trivially W-invariant).
+template <EmRecord T>
+[[nodiscard]] bool dist_supported(const Context& ctx, std::size_t n,
+                                  std::size_t extra_ranks) {
+  return ctx.workers() != 0 && dist_fits<T>(ctx, n, extra_ranks);
 }
 
 /// Job fingerprint for the distributed chain.  Digests everything that

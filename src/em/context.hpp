@@ -67,10 +67,12 @@ struct CpuTuning {
 /// (n, B, M, tuning); W merely assigns units to processes, so every W
 /// produces bit-identical bytes and identical logical IoStats totals.
 struct WorkerTuning {
-  /// Cooperating workers per distributed pass.  0 (the default) disables the
-  /// distributed path entirely — algorithms run the classic single-process
-  /// code.  1 runs the distributed protocol with a single worker (same
-  /// schedule as any other W; useful as the parity baseline).
+  /// Cooperating workers per distributed pass.  0 (the default) keeps
+  /// distribution_sort and multi_partition on the classic single-process
+  /// code; a WorkerGroup built at 0 is one inline lane, which is how
+  /// SplitterIndex::build runs the distributed plan.  1 runs the distributed
+  /// protocol with a single worker (same schedule as any other W; useful as
+  /// the parity baseline).
   std::size_t workers = 0;
   /// Crash injection for the resume tests: worker `kill_worker` dies
   /// (`_exit(137)` when forked, WorkerDied when inline) at the start of

@@ -200,12 +200,12 @@ std::string exit_detail(int status) {
 }  // namespace
 
 WorkerGroup::WorkerGroup(Context& ctx)
-    : ctx_(&ctx), workers_(ctx.worker_tuning().workers) {
-  if (workers_ == 0) {
-    throw std::invalid_argument("WorkerGroup: workers must be >= 1");
-  }
-  BlockDevice& dev = ctx.device();
-  forked_ = dev.fork_safe() && !kThreadSanitizer &&
+    : ctx_(&ctx),
+      workers_(std::max<std::size_t>(1, ctx.worker_tuning().workers)) {
+  // workers() == 0 asks for no worker processes: one inline lane, which a
+  // process holding threads (the server) can run without forking.
+  forked_ = ctx.worker_tuning().workers != 0 && ctx.device().fork_safe() &&
+            !kThreadSanitizer &&
             std::getenv("EMSPLIT_WORKERS_INLINE") == nullptr;
 }
 

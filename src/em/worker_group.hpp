@@ -8,7 +8,7 @@
 // run one *round* (the unit of barrier synchronization) on W workers and get
 // every worker's result, I/O delta and busy time back to the coordinator.
 //
-// Two execution modes, chosen once per group:
+// Three execution modes, chosen once per group:
 //
 //  * Forked (the real thing): each round forks W children.  The parent's
 //    address space at the fork *is* the broadcast — plans, splitter tables
@@ -33,7 +33,12 @@
 //    updates (BlockDevice::set_sum_tracking) and ships them home in the
 //    result frame, where the parent merges them.
 //
-// Both modes execute the *same* unit schedule in the same order per worker —
+//  * One inline lane (`ctx.workers() == 0`): no worker processes were asked
+//    for, so the group reports workers() == 1 and forked() == false and runs
+//    every round inline as worker 0.  This is how SplitterIndex::build runs
+//    the src/dist/ plan inside a server that holds threads and cannot fork.
+//
+// All modes execute the *same* unit schedule in the same order per worker —
 // mode, like W itself, is geometry, never output.
 //
 // Supervision (WorkerTuning::{max_worker_retries, worker_timeout,
@@ -194,7 +199,8 @@ class WorkerGroup {
   using RoundBody =
       std::function<std::vector<std::byte>(Context& wctx, std::size_t w)>;
 
-  /// Binds to `ctx`'s device and worker tuning (workers >= 1 required).
+  /// Binds to `ctx`'s device and worker tuning.  workers == 0 gives one
+  /// inline lane: workers() == 1, forked() == false.
   explicit WorkerGroup(Context& ctx);
 
   [[nodiscard]] std::size_t workers() const noexcept { return workers_; }

@@ -6,13 +6,17 @@
 // *queried*, so this module keeps one long-lived, searchable copy of the
 // data:
 //
-//   * build(): distribution_sort (the paper's multi-partition at every
-//     floor(M/3)-th rank, in-memory leaves already sorted and skipped by the
-//     final pass), then K exact-quantile buckets bounds[i] = floor(iN/K) and
-//     one N/B scan filling two resident tables: each bucket's maximum
-//     (uppers) and the first record of every s-th block (fences).  s is the
-//     smallest power of two for which the fence table fits in M/16; the
-//     table is charged to the MemoryBudget for the index's lifetime.
+//   * build(): sort into an owned copy, then K exact-quantile buckets
+//     bounds[i] = floor(iN/K) and one N/B scan filling two resident tables:
+//     each bucket's maximum (uppers) and the first record of every s-th
+//     block (fences).  s is the smallest power of two for which the fence
+//     table fits in M/16; the table is charged to the MemoryBudget for the
+//     index's lifetime.  The sort is the src/dist/ plan (sorted runs, exact
+//     per-run cuts, one gather pass) run in this process as one inline lane
+//     when its geometry fits (dist::dist_fits), and classic
+//     distribution_sort otherwise: an M too small for the plan, or a budget
+//     already charged — a refresh while the live epoch's fence table is
+//     held.  Both write the same sorted bytes.
 //   * rank(x): fence upper_bound, one batched read of the <= s blocks between
 //     two fences, an in-block upper_bound — exact, <= s block reads.  A probe
 //     below the minimum or at/above the maximum is answered from the tables
@@ -47,6 +51,8 @@
 #include <vector>
 
 #include "core/spec.hpp"
+#include "dist/dist_plan.hpp"
+#include "dist/distributed.hpp"
 #include "em/block_device.hpp"
 #include "em/context.hpp"
 #include "em/em_vector.hpp"
@@ -266,11 +272,14 @@ class SplitterIndex {
  public:
   SplitterIndex() = default;
 
-  /// Build the index over `data`: distribution_sort into an owned copy, K
-  /// exact-quantile buckets, one scan for the bucket maxima and the fence
-  /// table.  `slack` is the equi-depth tolerance the caller asks for
-  /// (validated >= 0); a sorted build always meets it exactly, with bucket
-  /// sizes floor(N/K) or ceil(N/K).
+  /// Build the index over `data`: sort into an owned copy, K exact-quantile
+  /// buckets, one scan for the bucket maxima and the fence table.  The sort
+  /// is the src/dist/ plan whenever dist_fits holds — inline, with no worker
+  /// processes, at any ctx.workers() — and classic distribution_sort when it
+  /// does not (M below the plan's minimum, or reservations already held).
+  /// Output bytes are the same either way.  `slack` is the equi-depth
+  /// tolerance the caller asks for (validated >= 0); a sorted build always
+  /// meets it exactly, with bucket sizes floor(N/K) or ceil(N/K).
   static SplitterIndex build(Context& ctx, const EmVector<T>& data,
                              std::uint64_t buckets, double slack = 0.25,
                              Less less = {}) {
@@ -286,8 +295,11 @@ class SplitterIndex {
     for (std::uint64_t i = 0; i <= buckets; ++i) {
       bounds[static_cast<std::size_t>(i)] = i * q + i * r / buckets;
     }
-    return adopt(ctx, distribution_sort<T, Less>(ctx, data, less),
-                 std::move(bounds), less);
+    EmVector<T> sorted =
+        dist::dist_fits<T>(ctx, static_cast<std::size_t>(n), 0)
+            ? dist::dist_distribution_sort<T, Less>(ctx, data, less)
+            : distribution_sort<T, Less>(ctx, data, less);
+    return adopt(ctx, std::move(sorted), std::move(bounds), less);
   }
 
   /// Bind an index over sorted `data` with bucket `bounds` (K+1 strictly

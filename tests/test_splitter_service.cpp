@@ -27,12 +27,15 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/api.hpp"
+#include "dist/dist_plan.hpp"
 #include "em/checkpoint.hpp"
+#include "em/pass_engine.hpp"
 #include "service/server.hpp"
 #include "service/splitter_index.hpp"
 #include "test_helpers.hpp"
@@ -312,6 +315,129 @@ TEST(SplitterIndexGeometry, FenceTableIsChargedForTheIndexLifetime) {
               idx.fences().size() * sizeof(Record));
   }
   EXPECT_EQ(env.ctx.budget().used(), before);
+}
+
+// ---------------------------------------------------------------------------
+// The build's sort: the src/dist/ plan run inline where its geometry fits,
+// classic distribution_sort where it does not.  Either way the index must be
+// the one classic distribution_sort gives, down to every reply's I/O.
+
+std::vector<Record> dump_records(const EmVector<Record>& v) {
+  std::vector<Record> out;
+  out.reserve(v.size());
+  StreamReader<Record> r(v);
+  while (!r.done()) out.push_back(r.next());
+  return out;
+}
+
+std::vector<std::uint64_t> quantile_bounds(std::uint64_t n, std::uint64_t k) {
+  std::vector<std::uint64_t> b;
+  for (std::uint64_t i = 0; i <= k; ++i) {
+    b.push_back(i * (n / k) + i * (n % k) / k);
+  }
+  return b;
+}
+
+bool traced(const PassTraceLog& log, const std::string& pass) {
+  return std::any_of(log.rows().begin(), log.rows().end(),
+                     [&](const PassTrace& t) { return t.pass == pass; });
+}
+
+/// The two indexes agree on the sorted bytes, the tables, and every query's
+/// answer and per-query I/O.
+void expect_same_index(const SplitterIndex<Record>& got,
+                       const SplitterIndex<Record>& want,
+                       const std::vector<Record>& sorted_ref,
+                       const std::string& tag) {
+  ASSERT_EQ(dump_records(got.data()), dump_records(want.data())) << tag;
+  ASSERT_EQ(dump_records(got.data()), sorted_ref) << tag;
+  EXPECT_EQ(got.bounds(), want.bounds()) << tag;
+  EXPECT_EQ(got.uppers(), want.uppers()) << tag;
+  EXPECT_EQ(got.fences(), want.fences()) << tag;
+  EXPECT_EQ(got.fence_stride(), want.fence_stride()) << tag;
+  const std::size_t n = sorted_ref.size();
+  std::vector<Record> probes{Record{0, 0}, Record{~0ULL, ~0ULL}};
+  for (std::size_t i = 0; i < n; i += std::max<std::size_t>(1, n / 61)) {
+    probes.push_back(sorted_ref[i]);
+  }
+  probes.push_back(sorted_ref.back());
+  for (const Record& p : probes) {
+    const auto a = got.rank(p);
+    const auto b = want.rank(p);
+    EXPECT_EQ(a.value, b.value) << tag << " rank " << p.key;
+    EXPECT_EQ(a.io, b.io) << tag << " rank " << p.key;
+  }
+  const auto ra = got.range_count(sorted_ref[n / 5], sorted_ref[4 * n / 5]);
+  const auto rb = want.range_count(sorted_ref[n / 5], sorted_ref[4 * n / 5]);
+  EXPECT_EQ(ra.value, rb.value) << tag;
+  EXPECT_EQ(ra.io, rb.io) << tag;
+  for (const std::uint64_t k : {std::uint64_t{1}, got.buckets()}) {
+    const auto ha = got.histogram(k);
+    const auto hb = want.histogram(k);
+    EXPECT_EQ(ha.value.sizes, hb.value.sizes) << tag << " hist " << k;
+    EXPECT_EQ(ha.value.boundaries, hb.value.boundaries) << tag << " hist " << k;
+    EXPECT_EQ(ha.io, hb.io) << tag << " hist " << k;
+  }
+  // The largest top-k stays inside the smallest M of the cases below.
+  for (const std::uint64_t k : {std::uint64_t{1}, std::uint64_t{17},
+                                std::uint64_t{200}}) {
+    for (const bool largest : {true, false}) {
+      const auto ta = got.top_k(k, largest);
+      const auto tb = want.top_k(k, largest);
+      EXPECT_EQ(ta.value, tb.value) << tag << " topk " << k;
+      EXPECT_EQ(ta.io, tb.io) << tag << " topk " << k;
+    }
+  }
+}
+
+struct BuildCase {
+  const char* name;
+  std::size_t n;
+  std::uint64_t k;
+  std::size_t mem_blocks;
+  bool hold_reservation;  ///< build under a live reservation, as a refresh
+  bool dist;              ///< the src/dist/ plan is expected to run
+};
+
+TEST(SplitterIndexBuild, DistPlanMatchesClassic) {
+  // 256-byte blocks (16 records); M = 512 blocks is 8,192 records and a
+  // formation run of ~4,600, so 20,003 and 9,001 records make several runs.
+  const BuildCase cases[] = {
+      {"one-run", 2000, kBuckets, kMemBlocks, false, true},
+      {"ragged-n-k", 20003, 7, kMemBlocks, false, true},
+      {"k-equals-n", 9001, 9001, kMemBlocks, false, true},
+      {"m-below-plan", 4001, kBuckets, 32, false, false},
+      {"live-reservation", 20003, 7, kMemBlocks, true, false},
+  };
+  for (const BuildCase& c : cases) {
+    for (const Workload w : all_workloads()) {
+      const std::string tag = std::string(c.name) + "/" + to_string(w);
+      const auto host = make_workload(w, c.n, 53);
+      const auto sorted_ref = sorted_copy(host);
+
+      testutil::EmEnv classic_env(kBlockBytes, c.mem_blocks);
+      auto classic_in = materialize<Record>(classic_env.ctx,
+                                            std::span<const Record>(host));
+      const auto want = SplitterIndex<Record>::adopt(
+          classic_env.ctx,
+          distribution_sort<Record>(classic_env.ctx, classic_in),
+          quantile_bounds(c.n, c.k));
+
+      testutil::EmEnv env(kBlockBytes, c.mem_blocks);
+      PassTraceLog log;
+      env.ctx.set_pass_trace(&log);
+      auto input = materialize<Record>(env.ctx, std::span<const Record>(host));
+      std::optional<MemoryReservation> held;
+      if (c.hold_reservation) held.emplace(env.ctx.budget().reserve(64));
+      ASSERT_EQ(dist::dist_fits<Record>(env.ctx, c.n, 0), c.dist) << tag;
+      const auto got = SplitterIndex<Record>::build(env.ctx, input, c.k);
+      env.ctx.set_pass_trace(nullptr);
+      EXPECT_EQ(traced(log, "dsort/dist-runs"), c.dist) << tag;
+      EXPECT_EQ(traced(log, "dsort/partition"), !c.dist) << tag;
+      EXPECT_LE(env.ctx.budget().peak(), env.ctx.mem_bytes()) << tag;
+      expect_same_index(got, want, sorted_ref, tag);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

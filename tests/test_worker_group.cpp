@@ -24,6 +24,8 @@
 // jobs live in test_fault_sweep.cpp.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -380,6 +382,55 @@ TEST(WorkerGroupMode, ForkRequiresForkSafeDevice) {
   file_dev.set_checksums(true);
   WorkerGroup checksummed_group(file_ctx);
   EXPECT_EQ(checksummed_group.forked(), !kThreadSanitizer);
+  std::remove(dev_path.c_str());
+}
+
+// workers() == 0 asks for no worker processes.  The group is then one inline
+// lane even on a fork-safe device: a process that holds threads (the server
+// building its index) runs the unit schedule without forking.
+TEST(WorkerGroupMode, ZeroWorkersIsOneInlineLane) {
+  const std::string dev_path = testing::TempDir() + "/wg_zero.dev";
+  std::remove(dev_path.c_str());
+  FileBlockDevice dev(dev_path, kBlockBytes);
+  ASSERT_TRUE(dev.fork_safe());
+  Context ctx(dev, kMemBlocks * kBlockBytes);
+  ASSERT_EQ(ctx.workers(), 0u);
+  WorkerGroup group(ctx);
+  EXPECT_EQ(group.workers(), 1u);
+  EXPECT_FALSE(group.forked());
+
+  const BlockRange range = dev.allocate(2);
+  const pid_t parent = ::getpid();
+  std::size_t calls = 0;  // a forked body would bump a child's copy
+  const auto body = [&](Context& wctx,
+                        std::size_t w) -> std::vector<std::byte> {
+    ++calls;
+    EXPECT_EQ(&wctx, &ctx) << "the inline lane runs in the caller's context";
+    BlockDevice& d = wctx.device();
+    std::vector<std::byte> blk(d.block_bytes(), std::byte{7});
+    d.write(range.first, blk);
+    d.write(range.first + 1, blk);
+    d.read(range.first, blk);
+    WireWriter wire;
+    wire.u64(w);
+    wire.u64(static_cast<std::uint64_t>(::getpid()));
+    return wire.take();
+  };
+  const IoStats before = dev.stats();
+  const RoundOutcome out = group.round("zero", body);
+  const IoStats delta = dev.stats() - before;
+
+  EXPECT_EQ(calls, 1u);
+  ASSERT_EQ(out.payloads.size(), 1u);
+  WireReader rd(out.payloads[0]);
+  EXPECT_EQ(rd.u64(), 0u);
+  EXPECT_EQ(rd.u64(), static_cast<std::uint64_t>(parent));
+  ASSERT_EQ(out.rows.size(), 1u);
+  EXPECT_EQ(out.rows[0].worker, 0u);
+  EXPECT_EQ(out.rows[0].io, delta);
+  EXPECT_EQ(delta.reads, 1u);
+  EXPECT_EQ(delta.writes, 2u);
+  EXPECT_TRUE(ctx.take_supervision().empty());
   std::remove(dev_path.c_str());
 }
 
