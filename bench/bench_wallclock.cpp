@@ -22,20 +22,16 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/api.hpp"
-#include "em/file_io.hpp"
-#include "service/server.hpp"
 
 namespace emsplit {
 namespace {
@@ -77,7 +73,7 @@ struct ModeSpec {
   IoTuning tuning;
   CpuTuning cpu{1, 1};
   std::size_t workers = 0;       // > 0 routes dsort/partition through the
-                                 // multi-process distributed path (W is
+                                 // distributed path on W lanes (W is
                                  // geometry: every W must report identical
                                  // logical I/Os and output checksums)
   // Per-leg geometry overrides.  The worker legs need blocks big enough for
@@ -85,10 +81,6 @@ struct ModeSpec {
   // own geometry and are exempt from the cross-leg determinism reference.
   std::size_t block_bytes = kCmpBlockBytes;
   std::size_t mem_blocks = kCmpMemBlocks;
-  bool supervised = false;       // arm the round supervisor (retries + hang
-                                 // deadline) on the worker leg; at zero
-                                 // faults it must be pure bookkeeping —
-                                 // same I/Os, same bytes, worker_retries 0
 };
 
 struct ModeResult {
@@ -97,8 +89,6 @@ struct ModeResult {
   std::uint64_t peak = 0;
   std::uint64_t checksum = 0;
   bool sorted = false;
-  std::uint64_t worker_retries = 0;  // re-executed worker I/O (0 unless a
-                                     // worker actually failed mid-round)
   std::string passes_json;       // JSON array of the final rep's trace rows
 };
 
@@ -117,15 +107,7 @@ Rig make_rig(const char* tag, const ModeSpec& mode) {
       std::make_unique<Context>(*rig.dev, mode.mem_blocks * mode.block_bytes);
   rig.ctx->set_io_tuning(mode.tuning);
   rig.ctx->set_cpu_tuning(mode.cpu);
-  WorkerTuning wt;
-  wt.workers = mode.workers;
-  if (mode.supervised) {
-    // Supervision armed, zero faults injected: retries available, a generous
-    // hang deadline (the poll loop replaces the blocking drain either way).
-    wt.max_worker_retries = 2;
-    wt.worker_timeout = 30.0;
-  }
-  rig.ctx->set_worker_tuning(wt);
+  rig.ctx->set_worker_tuning({mode.workers});
   rig.trace = std::make_unique<PassTraceLog>();
   rig.ctx->set_pass_trace(rig.trace.get());
   return rig;
@@ -180,9 +162,7 @@ ModeResult run_mode(const char* tag, const ModeSpec& mode,
       const std::chrono::duration<double> dt =
           std::chrono::steady_clock::now() - t0;
       secs = dt.count();
-      const IoStats stats = rig.dev->stats();
-      res.ios = stats.base().total();
-      res.worker_retries = stats.worker_retries;
+      res.ios = rig.dev->stats().base().total();
     };
     body(*rig.ctx, data, res, capture);
     res.peak = rig.ctx->budget().peak();
@@ -256,264 +236,6 @@ ModeResult run_select_mode(const ModeSpec& mode) {
                   });
 }
 
-// ---------------------------------------------------------------------------
-// Service legs: the resident SplitterServer under a fixed query mix.
-// ---------------------------------------------------------------------------
-
-// One serving configuration.  The client count is load, never geometry: the
-// fixed mix is partitioned round-robin across the clients, so every leg
-// answers the same queries and must report the same per-query I/O sum and
-// the same answer checksum (the service-side determinism contract, checked
-// in-binary here and again by bench_compare.py --service).
-struct ServiceLeg {
-  const char* name;
-  std::size_t clients = 1;  // concurrent in-process client threads
-  std::size_t batch = 0;  // >0: pipelined — queries per query_batch() call
-};
-
-struct ServiceResult {
-  double seconds = 0;       // best-of-3 wall for the full mix
-  double p50 = 0;           // per-query latency percentiles (winning rep)
-  double p99 = 0;
-  std::uint64_t ios = 0;    // serial per-query I/O sum (deterministic)
-  std::uint64_t checksum = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t epoch = 0;
-  bool ok = true;
-};
-
-// The fixed query mix: half ranks, a quarter ranges, the rest histograms and
-// top-k in both directions, all derived deterministically from the workload.
-std::vector<SplitterServer::Request> service_mix(
-    const std::vector<Record>& host) {
-  const std::size_t n = host.size();
-  constexpr std::size_t kQueries = 512;
-  std::vector<SplitterServer::Request> mix;
-  mix.reserve(kQueries);
-  for (std::size_t i = 0; i < kQueries; ++i) {
-    SplitterServer::Request q;
-    // Standing workloads are skewed: the paper's motivating applications
-    // (percentile monitors, histogram dashboards) poll the same ranks over
-    // and over.  75% of probes revisit a 32-record hot set; the rest walk
-    // the key space uniformly.
-    const bool is_hot = (i % 8) < 6;
-    const std::size_t ia = is_hot ? ((i * 13) % 32) * 9973 : i * 9973;
-    const std::size_t ib =
-        is_hot ? ((i * 29 + 3) % 32) * 31337 + 7 : i * 31337 + 7;
-    const Record a = host[ia % n];
-    const Record b = host[ib % n];
-    switch (i % 8) {
-      case 6:
-        q.kind = QueryKind::kHistogram;
-        q.k = 64;
-        break;
-      case 7:
-        q.kind = QueryKind::kTopK;
-        q.k = 32;
-        q.largest = i % 16 == 7;
-        break;
-      case 4:
-      case 5:
-        q.kind = QueryKind::kRange;
-        q.lo = std::min(a, b);
-        q.hi = std::max(a, b);
-        break;
-      default:
-        // Saturated payload: rank counts every record with the probed key.
-        q.kind = QueryKind::kRank;
-        q.lo = Record{a.key, ~0ULL};
-        break;
-    }
-    mix.push_back(q);
-  }
-  return mix;
-}
-
-// Fold one reply's answer into the leg checksum (same FNV-1a the mode legs
-// use): scalar value, top-k records, histogram boundaries and sizes.
-void mix_reply_checksum(std::uint64_t& h, const SplitterServer::Reply& rep) {
-  const auto fold = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
-  fold(rep.value);
-  for (const Record& r : rep.records) {
-    fold(r.key);
-    fold(r.payload);
-  }
-  for (const Record& b : rep.hist.boundaries) {
-    fold(b.key);
-    fold(b.payload);
-  }
-  for (const std::uint64_t s : rep.hist.sizes) fold(s);
-}
-
-ServiceResult run_service_leg(const ServiceLeg& leg, const std::string& src,
-                              const std::vector<SplitterServer::Request>& mix) {
-  // 4 KiB blocks, M = 2048 blocks (the worker legs' geometry): a rank reads
-  // the one block between its two fences.
-  const IoTuning tuning{.batch_blocks = 32};
-  const ModeSpec mode{leg.name, tuning, CpuTuning{1, 1}, 0, 4096, 2048};
-  Rig rig = make_rig("cmp_service", mode);
-  ServiceResult res;
-  SplitterServer::Config scfg;
-  scfg.source_path = src;
-  scfg.buckets = 256;
-  scfg.queue_wait = 0.25;
-  SplitterServer server(*rig.ctx, scfg);
-  server.start();
-  res.epoch = server.epoch();
-
-  // Serial verification pass: per-query reads are geometry, so the sum is
-  // the leg's logical I/O figure and the answer stream hashes to its
-  // checksum.
-  std::uint64_t h = 1469598103934665603ull;
-  IoStats sum;
-  for (const auto& q : mix) {
-    const SplitterServer::Reply rep = server.query(q);
-    res.ok = res.ok && rep.ok;
-    sum += rep.io;
-    mix_reply_checksum(h, rep);
-  }
-  res.ios = sum.base().total();
-  res.checksum = h;
-
-  // Timed passes: the same mix partitioned round-robin across the client
-  // threads, best of 3; latency samples come from the winning rep.  Pipelined
-  // legs (batch > 0) push their slice through query_batch() in chunks — one
-  // pinned snapshot per chunk, the socket batch execution path.
-  for (int rep_i = 0; rep_i < 3; ++rep_i) {
-    std::vector<std::vector<double>> lat(leg.clients);
-    std::atomic<bool> all_ok{true};
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> clients;
-    clients.reserve(leg.clients);
-    for (std::size_t c = 0; c < leg.clients; ++c) {
-      clients.emplace_back([&, c] {
-        std::vector<SplitterServer::Request> slice;
-        for (std::size_t i = c; i < mix.size(); i += leg.clients) {
-          slice.push_back(mix[i]);
-        }
-        if (leg.batch > 0) {
-          for (std::size_t i = 0; i < slice.size(); i += leg.batch) {
-            const std::vector<SplitterServer::Request> chunk(
-                slice.begin() + static_cast<std::ptrdiff_t>(i),
-                slice.begin() + static_cast<std::ptrdiff_t>(
-                                    std::min(i + leg.batch, slice.size())));
-            for (const SplitterServer::Reply& rep :
-                 server.query_batch(chunk, c + 1)) {
-              if (!rep.ok) all_ok.store(false);
-              lat[c].push_back(rep.seconds);
-            }
-          }
-        } else {
-          for (const auto& q : slice) {
-            const SplitterServer::Reply rep = server.query(q, c + 1);
-            if (!rep.ok) all_ok.store(false);
-            lat[c].push_back(rep.seconds);
-          }
-        }
-      });
-    }
-    for (std::thread& t : clients) t.join();
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
-    if (!all_ok.load()) res.ok = false;
-    if (rep_i == 0 || dt.count() < res.seconds) {
-      res.seconds = dt.count();
-      std::vector<double> all;
-      for (const auto& v : lat) all.insert(all.end(), v.begin(), v.end());
-      std::sort(all.begin(), all.end());
-      const auto pct = [&all](double f) {
-        const auto i = static_cast<std::size_t>(
-            f * static_cast<double>(all.size() - 1) + 0.5);
-        return all[std::min(i, all.size() - 1)];
-      };
-      res.p50 = pct(0.50);
-      res.p99 = pct(0.99);
-    }
-  }
-  res.shed = server.shed();
-  return res;
-}
-
-void run_service_bench(bench::JsonEmitter& json) {
-  // The source column the server (re)builds from: a flat record file.
-  const std::string src = bench_path("cmp_service_src");
-  const auto host = make_workload(Workload::kUniform, cmp_records(), 46);
-  {
-    std::FILE* f = std::fopen(src.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "warning: cannot write %s; service legs skipped\n",
-                   src.c_str());
-      return;
-    }
-    const std::size_t wrote =
-        std::fwrite(host.data(), sizeof(Record), host.size(), f);
-    std::fclose(f);
-    if (wrote != host.size()) {
-      std::remove(src.c_str());
-      return;
-    }
-  }
-  const auto mix = service_mix(host);
-
-  constexpr std::size_t kServeBatch = 16;
-  const ServiceLeg legs[] = {
-      {"serve1", 1},
-      {"serve4", 4},
-      {"serve4+pipe", 4, kServeBatch},
-  };
-
-  std::printf(
-      "# service: resident SplitterServer, %zu-query mix, K = 256 buckets, "
-      "B = 4096 bytes, N = %zu records\n",
-      mix.size(), cmp_records());
-  std::printf("# %-16s %-18s %9s %9s %9s %12s %5s\n", "op", "mode", "qps",
-              "p50 ms", "p99 ms", "ios", "shed");
-
-  std::uint64_t ref_ios = 0;
-  std::uint64_t ref_checksum = 0;
-  bool first_leg = true;
-  for (const ServiceLeg& leg : legs) {
-    const ServiceResult r = run_service_leg(leg, src, mix);
-    if (first_leg) {
-      ref_ios = r.ios;
-      ref_checksum = r.checksum;
-      first_leg = false;
-    }
-    // Clients and pipelining are load, never output: every leg must answer the mix with the same logical reads and the same bytes.
-    const bool deterministic =
-        r.ios == ref_ios && r.checksum == ref_checksum;
-    const double qps =
-        r.seconds > 0 ? static_cast<double>(mix.size()) / r.seconds : 0.0;
-    std::printf("  %-16s %-18s %9.0f %9.3f %9.3f %12llu %5llu%s%s\n",
-                "service", leg.name, qps, 1e3 * r.p50, 1e3 * r.p99,
-                static_cast<unsigned long long>(r.ios),
-                static_cast<unsigned long long>(r.shed),
-                r.ok ? "" : "  [CHECK FAILED]",
-                deterministic ? "" : "  [DETERMINISM FAILED]");
-    json.begin_row();
-    json.field("op", std::string("service"));
-    json.field("mode", std::string(leg.name));
-    json.field("clients", static_cast<std::uint64_t>(leg.clients));
-    json.field("batch", static_cast<std::uint64_t>(leg.batch));
-    json.field("buckets", std::uint64_t{256});
-    json.field("queries", static_cast<std::uint64_t>(mix.size()));
-    json.field("block_bytes", std::uint64_t{4096});
-    json.field("mem_blocks", std::uint64_t{2048});
-    json.field("records", static_cast<std::uint64_t>(cmp_records()));
-    json.field("seconds", r.seconds);
-    json.field("qps", qps);
-    json.field("p50_seconds", r.p50);
-    json.field("p99_seconds", r.p99);
-    json.field("ios", r.ios);
-    json.field("checksum", r.checksum);
-    json.field("shed", r.shed);
-    json.field("epoch", r.epoch);
-    json.field("ok", r.ok && deterministic);
-    json.end_row();
-  }
-  std::remove(src.c_str());
-}
-
 void run_mode_comparison() {
   // Tuning shorthands.  batched runs stream_blocks() = 32 (fan-in 127 over
   // ~65 runs: one merge pass, like sync's fan-in 4095), so both perform
@@ -537,8 +259,8 @@ void run_mode_comparison() {
   // Distribution sort (level-to-level re-reads) and multi-select (shrinking
   // candidate re-scans) run the batched leg only.
   const std::vector<ModeSpec> batched_modes = {{"batched", kBatched}};
-  // Worker legs: the multi-process distributed path for the two ops that
-  // route through it, at W = 1, 2, 4 forked workers on a 4 KiB block
+  // Worker legs: the distributed path for the two ops that route through
+  // it, at W = 1, 2, 4 lanes on a 4 KiB block
   // geometry (the tiny-block geometry above starves the distributed plan's
   // edge/cut tables, so dist_supported would fall back to the classic
   // path and the legs would measure nothing).  W is geometry, never
@@ -549,11 +271,6 @@ void run_mode_comparison() {
       {"workers1", kBatched, CpuTuning{1, 1}, 1, 4096, 2048},
       {"workers2", kBatched, CpuTuning{1, 1}, 2, 4096, 2048},
       {"workers4", kBatched, CpuTuning{1, 1}, 4, 4096, 2048},
-      // Supervision armed at zero faults: the poll-driven drain, per-frame
-      // checksums and retry bookkeeping must cost nothing measurable —
-      // identical I/Os and checksum to workers2, worker_retries = 0, and
-      // wall-clock within bench_compare.py --supervision's threshold.
-      {"workers2+sup", kBatched, CpuTuning{1, 1}, 2, 4096, 2048, true},
   };
 
   struct OpSpec {
@@ -614,8 +331,6 @@ void run_mode_comparison() {
       json.field("op", std::string(op.op));
       json.field("mode", std::string(mode.name));
       json.field("workers", static_cast<std::uint64_t>(mode.workers));
-      json.field("supervised", mode.supervised);
-      json.field("worker_retries", r.worker_retries);
       json.field("batch_blocks", static_cast<std::uint64_t>(mode.tuning.batch_blocks));
       json.field("threads", static_cast<std::uint64_t>(mode.cpu.threads));
       json.field("sort_shards", static_cast<std::uint64_t>(mode.cpu.sort_shards));
@@ -631,10 +346,6 @@ void run_mode_comparison() {
       json.end_row();
     }
   }
-  // The service legs ride in the same trajectory entry: one bench run, one
-  // labelled snapshot of both the batch ops and the resident server.
-  run_service_bench(json);
-
   // Append a tagged entry so the trajectory file keeps every run; tag with
   // BENCH_LABEL (e.g. "pr4") when set, "dev" otherwise.
   const char* label = std::getenv("BENCH_LABEL");

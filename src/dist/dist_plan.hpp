@@ -11,9 +11,8 @@
 //
 //   * chunk    — the run length of the formation pass.  A multiple of B, so
 //                the uniform chunk grid {0, C, 2C, ...} never puts two
-//                workers' records in one block (a copy-on-write child whose
-//                sibling wrote the other half of a shared block would lose
-//                the sibling's half on its own read-modify-write).
+//                lanes' records in one block (two lanes read-modify-writing
+//                one block concurrently would lose one lane's half).
 //   * stride   — the sample stride of the pivot exchange: every stride-th
 //                record of each sorted run, so a splitter candidate's true
 //                rank differs from its sampled rank by < U * stride
@@ -25,9 +24,9 @@
 // The memory plan splits M once and for all: at most 1/4 for the
 // coordinator's planning tables (samples, cut matrix, edge records) and at
 // most 5/8 for one worker unit (gather buffer or merge cursors, plus the
-// part writer and two staging blocks).  Both coexist in inline mode, where
-// worker units run in the coordinator's own budget — including the
-// one-lane group a context with `workers() == 0` gets.
+// part writer and two staging blocks).  Both coexist in the inline lane a
+// context with `workers() == 0` gets, whose units run in the coordinator's
+// own budget.
 #pragma once
 
 #include <algorithm>
@@ -131,7 +130,7 @@ template <EmRecord T>
 
 /// Do `distribution_sort` and `multi_partition` take the distributed path?
 /// Only with workers configured (`--workers` >= 1) and a plan that fits.
-/// False routes the caller to the classic single-process path (identical
+/// False routes the caller to the classic single-lane path (identical
 /// output — the fallback is itself trivially W-invariant).
 template <EmRecord T>
 [[nodiscard]] bool dist_supported(const Context& ctx, std::size_t n,
@@ -165,7 +164,7 @@ inline constexpr std::uint64_t kDistPartTag = 0x44535450;  // "DSTP"
 
 /// Contiguous balanced unit assignment: worker w owns units
 /// [unit_begin(total, W, w), unit_begin(total, W, w + 1)).  Pure arithmetic,
-/// identical in every process.
+/// identical on every lane.
 inline std::size_t unit_begin(std::size_t total, std::size_t workers,
                               std::size_t w) {
   return total * w / workers;

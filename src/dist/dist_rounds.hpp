@@ -1,11 +1,10 @@
-// dist_rounds.hpp — the worker-side bodies of the distributed passes.
+// dist_rounds.hpp — the lane-side bodies of the distributed passes.
 //
 // Each function here builds one WorkerGroup round body: a closure run once
-// per worker (in a forked child or inline in the coordinator) that performs
-// that worker's contiguous slice of the round's W-free unit list and returns
-// a wire-framed result blob.  Bodies follow the WorkerGroup contract — no
-// extent allocation, no coordinator state, everything needed inherited by
-// value or reached through the (copy-on-write or shared) address space.
+// per lane that performs that lane's contiguous slice of the round's W-free
+// unit list and leaves its result in the lane's own slot of a per-round
+// vector.  Bodies follow the WorkerGroup contract — no extent allocation,
+// no coordinator state, every input captured by reference and only read.
 //
 // Round inventory, in pass order:
 //
@@ -24,9 +23,9 @@
 //                emit them sorted (in-memory or by streaming k-way merge) or
 //                concatenated (a finished partition run).  Interior whole
 //                blocks are written directly; the few records sharing a
-//                boundary block with a neighbouring part travel back on the
-//                wire for the coordinator to stitch (merge_scatter below) —
-//                two workers must never read-modify-write one block.
+//                boundary block with a neighbouring part go back to the
+//                coordinator to stitch (stitch_edges in distributed.hpp) —
+//                two lanes must never read-modify-write one block.
 #pragma once
 
 #include <algorithm>
@@ -49,7 +48,7 @@ namespace emsplit::dist {
 /// Block-boundary split of one part's output range [lo, hi): records in
 /// [lo, head_end) and [tail_start, hi) share their block with a neighbour
 /// (or are the final partial block) and must be stitched by the coordinator;
-/// [head_end, tail_start) is whole blocks the owning worker writes itself.
+/// [head_end, tail_start) is whole blocks the owning lane writes itself.
 struct EdgeBounds {
   std::size_t head_end = 0;
   std::size_t tail_start = 0;
@@ -66,7 +65,7 @@ inline EdgeBounds edge_bounds(std::size_t lo, std::size_t hi, std::size_t b) {
 /// go to the device through an aligned bounded buffer; head and tail edge
 /// records accumulate for the coordinator.  Every store lands on a block
 /// boundary with a whole-block length, so no read-modify-write ever touches
-/// a block another worker also owns.
+/// a block another lane also owns.
 template <EmRecord T>
 class PartWriter {
  public:
@@ -127,16 +126,27 @@ class PartWriter {
   std::vector<T> tail_;
 };
 
-/// Run-formation round.  Returns the concatenated samples of every worker in
-/// worker (= run) order; the caller sorts them.  `input` and `runs` travel
+/// The lanes' result slots joined in lane order.
+template <typename X>
+std::vector<X> concat_lanes(std::vector<std::vector<X>>& lanes) {
+  std::vector<X> out;
+  for (std::vector<X>& part : lanes) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+/// Run-formation round.  Returns the concatenated samples of every lane in
+/// lane (= run) order; the caller sorts them.  `input` and `runs` travel
 /// as extents so each body binds views through its own context.
 template <EmRecord T, typename Less>
 std::vector<T> formation_round(WorkerGroup& group, const DistPlan& p,
                                const BlockRange& input, const BlockRange& runs,
                                Less less, std::vector<PassWorkerIo>& rows_out) {
   const std::size_t W = group.workers();
-  const auto body = [&p, &input, &runs, less,
-                     W](Context& wctx, std::size_t w) -> std::vector<std::byte> {
+  std::vector<std::vector<T>> lanes(W);
+  const auto body = [&p, &input, &runs, &lanes, less,
+                     W](Context& wctx, std::size_t w) {
     const EmVector<T> in_v =
         EmVector<T>::adopt(wctx, input, p.n, /*owning=*/false);
     EmVector<T> runs_v = EmVector<T>::adopt(wctx, runs, p.n, /*owning=*/false);
@@ -156,19 +166,10 @@ std::vector<T> formation_round(WorkerGroup& group, const DistPlan& p,
         samples.push_back(buf[j - 1]);
       }
     }
-    WireWriter wire;
-    wire.pod_span<T>(std::span<const T>(samples));
-    return wire.take();
+    lanes[w] = std::move(samples);
   };
-  RoundOutcome out = group.round("dist/formation", body);
-  std::vector<T> samples;
-  for (std::size_t w = 0; w < W; ++w) {
-    WireReader rd(out.payloads[w]);
-    std::vector<T> part = rd.template pod_vec<T>();
-    samples.insert(samples.end(), part.begin(), part.end());
-  }
-  rows_out = std::move(out.rows);
-  return samples;
+  rows_out = group.round("dist/formation", body);
+  return concat_lanes(lanes);
 }
 
 /// Resample round: reproduce the formation samples by reading them back out
@@ -178,8 +179,8 @@ std::vector<T> resample_round(WorkerGroup& group, const DistPlan& p,
                               const BlockRange& runs,
                               std::vector<PassWorkerIo>& rows_out) {
   const std::size_t W = group.workers();
-  const auto body = [&p, &runs,
-                     W](Context& wctx, std::size_t w) -> std::vector<std::byte> {
+  std::vector<std::vector<T>> lanes(W);
+  const auto body = [&p, &runs, &lanes, W](Context& wctx, std::size_t w) {
     const EmVector<T> runs_v =
         EmVector<T>::adopt(wctx, runs, p.n, /*owning=*/false);
     auto res = wctx.budget().reserve(p.b * sizeof(T));
@@ -200,19 +201,10 @@ std::vector<T> resample_round(WorkerGroup& group, const DistPlan& p,
         samples.push_back(blk[pos % p.b]);
       }
     }
-    WireWriter wire;
-    wire.pod_span<T>(std::span<const T>(samples));
-    return wire.take();
+    lanes[w] = std::move(samples);
   };
-  RoundOutcome out = group.round("dist/resample", body);
-  std::vector<T> samples;
-  for (std::size_t w = 0; w < W; ++w) {
-    WireReader rd(out.payloads[w]);
-    std::vector<T> part = rd.template pod_vec<T>();
-    samples.insert(samples.end(), part.begin(), part.end());
-  }
-  rows_out = std::move(out.rows);
-  return samples;
+  rows_out = group.round("dist/resample", body);
+  return concat_lanes(lanes);
 }
 
 /// Select round: for every (owned run, candidate) pair, the run-local lower
@@ -225,8 +217,9 @@ std::vector<std::uint64_t> select_round(WorkerGroup& group, const DistPlan& p,
                                         const std::vector<T>& cands, Less less,
                                         std::vector<PassWorkerIo>& rows_out) {
   const std::size_t W = group.workers();
-  const auto body = [&p, &runs, &cands, less,
-                     W](Context& wctx, std::size_t w) -> std::vector<std::byte> {
+  std::vector<std::vector<std::uint64_t>> lanes(W);
+  const auto body = [&p, &runs, &cands, &lanes, less,
+                     W](Context& wctx, std::size_t w) {
     const EmVector<T> runs_v =
         EmVector<T>::adopt(wctx, runs, p.n, /*owning=*/false);
     auto res = wctx.budget().reserve(p.b * sizeof(T));
@@ -268,20 +261,10 @@ std::vector<std::uint64_t> select_round(WorkerGroup& group, const DistPlan& p,
         prev = cut;
       }
     }
-    WireWriter wire;
-    wire.pod_span<std::uint64_t>(std::span<const std::uint64_t>(cuts));
-    return wire.take();
+    lanes[w] = std::move(cuts);
   };
-  RoundOutcome out = group.round("dist/select", body);
-  std::vector<std::uint64_t> cuts;
-  cuts.reserve(p.n_runs * cands.size());
-  for (std::size_t w = 0; w < W; ++w) {
-    WireReader rd(out.payloads[w]);
-    std::vector<std::uint64_t> part = rd.template pod_vec<std::uint64_t>();
-    cuts.insert(cuts.end(), part.begin(), part.end());
-  }
-  rows_out = std::move(out.rows);
-  return cuts;
+  rows_out = group.round("dist/select", body);
+  return concat_lanes(lanes);
 }
 
 /// One output part as the scatter round sees it.
@@ -299,8 +282,8 @@ struct PartEdges {
   std::vector<T> tail;
 };
 
-/// Scatter round: each worker materializes its owned parts into the output
-/// extent (interior blocks) and wires back the edge records.  `seg_cuts` is
+/// Scatter round: each lane materializes its owned parts into the output
+/// extent (interior blocks) and hands back the edge records.  `seg_cuts` is
 /// the (P+1) x U matrix of run-local part boundaries: part i's records in
 /// run u are run-local [seg_cuts[i * U + u], seg_cuts[(i+1) * U + u]).
 template <EmRecord T, typename Less>
@@ -311,8 +294,9 @@ std::vector<PartEdges<T>> scatter_round(
     std::vector<PassWorkerIo>& rows_out) {
   const std::size_t W = group.workers();
   const std::size_t U = p.n_runs;
-  const auto body = [&p, &runs, &out_extent, &parts, &seg_cuts, less, W,
-                     U](Context& wctx, std::size_t w) -> std::vector<std::byte> {
+  std::vector<std::vector<PartEdges<T>>> lanes(W);
+  const auto body = [&p, &runs, &out_extent, &parts, &seg_cuts, &lanes, less,
+                     W, U](Context& wctx, std::size_t w) {
     const EmVector<T> runs_v =
         EmVector<T>::adopt(wctx, runs, p.n, /*owning=*/false);
     EmVector<T> out_v =
@@ -322,7 +306,7 @@ std::vector<PartEdges<T>> scatter_round(
     auto res = wctx.budget().reserve(
         (std::max(p.limit, (U + 1) * p.b) + p.sbr + 2 * p.b) * sizeof(T));
     std::vector<T> buf;
-    WireWriter wire;
+    std::vector<PartEdges<T>>& edges = lanes[w];
     for (std::size_t i = unit_begin(parts.size(), W, w);
          i < unit_begin(parts.size(), W, w + 1); ++i) {
       const PartDef& part = parts[i];
@@ -411,26 +395,11 @@ std::vector<PartEdges<T>> scatter_round(
         }
       }
       pw.finish();
-      wire.u64(i);
-      wire.pod_span<T>(std::span<const T>(pw.head()));
-      wire.pod_span<T>(std::span<const T>(pw.tail()));
+      edges.push_back(PartEdges<T>{i, pw.head(), pw.tail()});
     }
-    return wire.take();
   };
-  RoundOutcome out = group.round("dist/scatter", body);
-  std::vector<PartEdges<T>> edges;
-  for (std::size_t w = 0; w < W; ++w) {
-    WireReader rd(out.payloads[w]);
-    while (!rd.done()) {
-      PartEdges<T> e;
-      e.part = static_cast<std::size_t>(rd.u64());
-      e.head = rd.template pod_vec<T>();
-      e.tail = rd.template pod_vec<T>();
-      edges.push_back(std::move(e));
-    }
-  }
-  rows_out = std::move(out.rows);
-  return edges;
+  rows_out = group.round("dist/scatter", body);
+  return concat_lanes(lanes);
 }
 
 }  // namespace emsplit::dist

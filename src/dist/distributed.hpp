@@ -1,4 +1,4 @@
-// distributed.hpp — W-worker multi-partition and distribution sort.
+// distributed.hpp — W-lane multi-partition and distribution sort.
 //
 // The coordinator side of the distributed protocol (paper §3-§5 recast for
 // the PEM shape of em/worker_group.hpp):
@@ -25,9 +25,9 @@
 // the interrupted pass.
 //
 // Output contract: identical bytes and identical logical IoStats totals for
-// every W and both execution modes — W is geometry, never output.  The
-// coordinator's stitch writes are attributed to the owning worker's trace
-// row, so the per-worker rows of every pass partition the pass total
+// every W, the inline lane included — W is geometry, never output.  The
+// coordinator's stitch writes are attributed to the owning lane's trace
+// row, so the per-lane rows of every pass partition the pass total
 // exactly.
 #pragma once
 
@@ -424,13 +424,10 @@ DistResult<T> dist_run(Context& ctx, const EmVector<T>& input,
   out.set_size(n);
   runner.run(sort_all ? "dsort/dist-scatter" : "mpart/dist-scatter", [&] {
     std::vector<PassWorkerIo> rows;
-    // The stitch attributes by the width the scatter bodies actually ran at;
-    // workers() may shrink (elastic degradation) once the round completes.
-    const std::size_t scatter_w = group.workers();
     std::vector<PartEdges<T>> edges =
         scatter_round<T>(group, p, chain.data().extent(), out.extent(), parts,
                          seg_cuts, less, rows);
-    stitch_edges<T>(ctx, out, parts, edges, scatter_w, rows);
+    stitch_edges<T>(ctx, out, parts, edges, group.workers(), rows);
     ctx.note_pass_workers(std::move(rows));
   });
 
@@ -443,8 +440,8 @@ DistResult<T> dist_run(Context& ctx, const EmVector<T>& input,
 
 }  // namespace detail
 
-/// Distributed full sort: bit-identical to itself under every worker count
-/// and execution mode, fully sorted output.  Call only when
+/// Distributed full sort: bit-identical to itself under every lane count,
+/// fully sorted output.  Call only when
 /// dist_supported<T>(ctx, input.size(), 0) holds.
 template <EmRecord T, typename Less = std::less<T>>
 [[nodiscard]] EmVector<T> dist_distribution_sort(Context& ctx,

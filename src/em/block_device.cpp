@@ -1,7 +1,6 @@
 #include "em/block_device.hpp"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -34,6 +33,29 @@ std::string fault_message(const char* op, BlockId first, std::uint64_t count,
          "/" + std::to_string(count) + " transferred";
 }
 
+/// This thread's transfers (BlockDevice::thread_stats), and how many
+/// transfers this thread is inside right now.
+thread_local IoStats t_thread_io;
+thread_local unsigned t_transfer_depth = 0;
+
+/// Adds one transfer's blocks to this thread's tally — unless the transfer
+/// runs inside another one on this thread, as when a device forwards to an
+/// inner device: those blocks are the outer transfer's, counted once.
+class ThreadTally {
+ public:
+  ThreadTally() noexcept : outermost_(t_transfer_depth++ == 0) {}
+  ~ThreadTally() { --t_transfer_depth; }
+  ThreadTally(const ThreadTally&) = delete;
+  ThreadTally& operator=(const ThreadTally&) = delete;
+
+  void add(std::uint64_t IoStats::*counter, std::uint64_t n) const noexcept {
+    if (outermost_) t_thread_io.*counter += n;
+  }
+
+ private:
+  bool outermost_;
+};
+
 }  // namespace
 
 BlockDevice::BlockDevice(std::size_t block_bytes) : block_bytes_(block_bytes) {
@@ -47,22 +69,15 @@ BlockDevice::~BlockDevice() = default;
 IoStats BlockDevice::stats() const noexcept {
   return IoStats{reads_.load(std::memory_order_relaxed),
                  writes_.load(std::memory_order_relaxed),
-                 retries_.load(std::memory_order_relaxed),
-                 worker_retries_.load(std::memory_order_relaxed)};
+                 retries_.load(std::memory_order_relaxed)};
 }
+
+IoStats BlockDevice::thread_stats() noexcept { return t_thread_io; }
 
 void BlockDevice::reset_stats() noexcept {
   reads_.store(0, std::memory_order_relaxed);
   writes_.store(0, std::memory_order_relaxed);
   retries_.store(0, std::memory_order_relaxed);
-  worker_retries_.store(0, std::memory_order_relaxed);
-}
-
-void BlockDevice::absorb_stats(const IoStats& delta) noexcept {
-  reads_.fetch_add(delta.reads, std::memory_order_relaxed);
-  writes_.fetch_add(delta.writes, std::memory_order_relaxed);
-  retries_.fetch_add(delta.retries, std::memory_order_relaxed);
-  worker_retries_.fetch_add(delta.worker_retries, std::memory_order_relaxed);
 }
 
 BlockRange BlockDevice::allocate(std::uint64_t count) {
@@ -98,8 +113,6 @@ void BlockDevice::deallocate(const BlockRange& range) noexcept {
     const std::lock_guard<std::mutex> lock(sum_mu_);
     sums_.erase(sums_.lower_bound(range.first),
                 sums_.lower_bound(range.first + range.count));
-    dirty_sums_.erase(dirty_sums_.lower_bound(range.first),
-                      dirty_sums_.lower_bound(range.first + range.count));
   }
   BlockId first = range.first;
   std::uint64_t count = range.count;
@@ -207,30 +220,16 @@ void BlockDevice::backoff_sleep(std::uint64_t attempt) const {
 
 void BlockDevice::record_sums(BlockId first, std::uint64_t count,
                               std::span<const std::byte> in) {
-  const bool track = track_sums_.load(std::memory_order_acquire);
   const std::lock_guard<std::mutex> lock(sum_mu_);
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::size_t off = static_cast<std::size_t>(i) * block_bytes_;
     const std::size_t len = std::min(block_bytes_, in.size() - off);
-    const BlockSum s{static_cast<std::uint32_t>(len),
-                     fnv1a(in.subspan(off, len))};
-    sums_[first + i] = s;
-    if (track) dirty_sums_[first + i] = s;
+    sums_[first + i] = BlockSum{static_cast<std::uint32_t>(len),
+                                fnv1a(in.subspan(off, len))};
   }
 }
 
-std::vector<SumEntry> BlockDevice::take_dirty_sums() {
-  const std::lock_guard<std::mutex> lock(sum_mu_);
-  std::vector<SumEntry> out;
-  out.reserve(dirty_sums_.size());
-  for (const auto& [block, s] : dirty_sums_) {
-    out.push_back(SumEntry{block, s.len, s.sum});
-  }
-  dirty_sums_.clear();
-  return out;
-}
-
-void BlockDevice::merge_sums(std::span<const SumEntry> entries) {
+void BlockDevice::import_sums(std::span<const SumEntry> entries) {
   const std::lock_guard<std::mutex> lock(sum_mu_);
   for (const SumEntry& e : entries) {
     sums_[e.block] = BlockSum{e.len, e.sum};
@@ -276,6 +275,7 @@ void BlockDevice::read_core(const char* op, BlockId first, std::uint64_t count,
   std::uint64_t done = 0;
   std::uint64_t attempt = 0;
   const bool verify = checksums();
+  const ThreadTally tally;
   for (;;) {
     const std::uint64_t want = count - done;
     const auto span = out.subspan(static_cast<std::size_t>(done) * block_bytes_);
@@ -289,6 +289,7 @@ void BlockDevice::read_core(const char* op, BlockId first, std::uint64_t count,
       const auto sub = span.first(bytes);
       do_read_blocks(first + done, d.allowed, sub);
       reads_.fetch_add(d.allowed, std::memory_order_relaxed);
+      tally.add(&IoStats::reads, d.allowed);
       if (verify) verify_sums(first + done, d.allowed, sub);
       done += d.allowed;
     }
@@ -299,6 +300,7 @@ void BlockDevice::read_core(const char* op, BlockId first, std::uint64_t count,
     if (d.transient && attempt < fault_policy_.max_retries) {
       ++attempt;
       retries_.fetch_add(1, std::memory_order_relaxed);
+      tally.add(&IoStats::retries, 1);
       backoff_sleep(attempt);
       continue;
     }
@@ -313,6 +315,7 @@ void BlockDevice::write_core(const char* op, BlockId first,
   std::uint64_t done = 0;
   std::uint64_t attempt = 0;
   const bool track = checksums();
+  const ThreadTally tally;
   for (;;) {
     const std::uint64_t want = count - done;
     const auto span = in.subspan(static_cast<std::size_t>(done) * block_bytes_);
@@ -324,6 +327,7 @@ void BlockDevice::write_core(const char* op, BlockId first,
       const auto sub = span.first(bytes);
       do_write_blocks(first + done, d.allowed, sub);
       writes_.fetch_add(d.allowed, std::memory_order_relaxed);
+      tally.add(&IoStats::writes, d.allowed);
       if (track) record_sums(first + done, d.allowed, sub);
       done += d.allowed;
     }
@@ -331,6 +335,7 @@ void BlockDevice::write_core(const char* op, BlockId first,
     if (d.transient && attempt < fault_policy_.max_retries) {
       ++attempt;
       retries_.fetch_add(1, std::memory_order_relaxed);
+      tally.add(&IoStats::retries, 1);
       backoff_sleep(attempt);
       continue;
     }
@@ -468,48 +473,14 @@ void BlockDevice::do_write_blocks(BlockId first, std::uint64_t count,
 MemoryBlockDevice::MemoryBlockDevice(std::size_t block_bytes)
     : BlockDevice(block_bytes) {}
 
-MemoryBlockDevice::~MemoryBlockDevice() {
-  for (const Arena& a : arenas_) ::munmap(a.base, a.bytes);
-}
-
 void MemoryBlockDevice::do_grow(std::uint64_t new_size_blocks) {
   const std::unique_lock<std::shared_mutex> lock(mu_);
   blocks_.resize(new_size_blocks);  // lazily materialized pages
 }
 
-std::byte* MemoryBlockDevice::materialize(BlockId block) {
-  const std::lock_guard<std::mutex> lock(arena_mu_);
-  if (blocks_[block] != nullptr) return blocks_[block];  // lost the race
-  if (arenas_.empty() ||
-      arenas_.back().used + block_bytes() > arenas_.back().bytes) {
-    // MAP_SHARED so a forked worker's writes reach the parent; anonymous
-    // mappings come pre-zeroed, matching the sparse-read contract.
-    const std::size_t bytes =
-        std::max<std::size_t>(std::size_t{1} << 20, block_bytes());
-    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) throw std::bad_alloc();
-    arenas_.push_back(Arena{static_cast<std::byte*>(p), bytes, 0});
-  }
-  Arena& a = arenas_.back();
-  std::byte* page = a.base + a.used;
-  a.used += block_bytes();
-  blocks_[block] = page;
-  return page;
-}
-
-void MemoryBlockDevice::prepare_fork() {
-  // Exclusive lock: forking happens at a quiescent point, and materializing
-  // the full table must not interleave with transfers resizing under us.
-  const std::unique_lock<std::shared_mutex> lock(mu_);
-  for (BlockId b = 0; b < blocks_.size(); ++b) {
-    if (blocks_[b] == nullptr) materialize(b);
-  }
-}
-
 void MemoryBlockDevice::read_one(BlockId block,
                                  std::span<std::byte> out) const {
-  const std::byte* page = blocks_[block];
+  const std::byte* page = blocks_[block].get();
   if (page == nullptr) {
     // Reading a never-written block yields zeroes (like a sparse file).
     std::memset(out.data(), 0, out.size());
@@ -520,9 +491,9 @@ void MemoryBlockDevice::read_one(BlockId block,
 
 void MemoryBlockDevice::write_one(BlockId block,
                                   std::span<const std::byte> in) {
-  std::byte* page = blocks_[block];
-  if (page == nullptr) page = materialize(block);
-  std::memcpy(page, in.data(), in.size());
+  std::unique_ptr<std::byte[]>& page = blocks_[block];
+  if (page == nullptr) page = std::make_unique<std::byte[]>(block_bytes());
+  std::memcpy(page.get(), in.data(), in.size());
 }
 
 void MemoryBlockDevice::do_read(BlockId block, std::span<std::byte> out) {
@@ -615,8 +586,7 @@ FileBlockDevice::FileBlockDevice(std::string path, std::size_t block_bytes,
     throw std::runtime_error("FileBlockDevice: cannot open " + path_ + ": " +
                              std::strerror(errno));
   }
-  // A fresh device's table is empty, so merging is loading.
-  if (preserve_contents) merge_sums(read_sums_file(sidecar_path()));
+  if (preserve_contents) import_sums(read_sums_file(sidecar_path()));
 }
 
 FileBlockDevice::~FileBlockDevice() {

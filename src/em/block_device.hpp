@@ -97,10 +97,8 @@ class DeviceFault : public std::runtime_error {
   std::uint64_t completed_ = 0;
 };
 
-/// One block's recorded checksum in wire/export form: FNV-1a over the
-/// `len`-byte prefix the write transferred.  The unit of checksum exchange
-/// between cooperating processes (a forked worker ships its dirty entries
-/// home in the result frame) and of sidecar persistence.
+/// One block's recorded checksum in export form: FNV-1a over the `len`-byte
+/// prefix the write transferred.  The unit of sidecar persistence.
 struct SumEntry {
   BlockId block = 0;
   std::uint32_t len = 0;
@@ -190,7 +188,8 @@ struct FaultPolicy {
 /// injection.
 ///
 /// Thread-safety contract (load-bearing for the splitter service, whose
-/// query threads read one device concurrently): the transfer interface —
+/// query threads read one device concurrently, and for the worker lanes,
+/// which write disjoint ranges of it concurrently): the transfer interface —
 /// read / write / read_blocks / write_blocks — and the stats() snapshot may
 /// be used from several threads at once.  The I/O counters are relaxed
 /// atomics, and the transfer paths of both concrete devices are data-race
@@ -248,33 +247,16 @@ class BlockDevice {
   /// atomics that other threads may be bumping concurrently.
   [[nodiscard]] IoStats stats() const noexcept;
 
+  /// Transfers performed by the calling thread since it started: bumped next
+  /// to the device counters by every read and write (a transfer a device
+  /// forwards to an inner device counts once).  A worker lane's delta of
+  /// this is its share of the device delta.
+  [[nodiscard]] static IoStats thread_stats() noexcept;
+
   /// Zero the counters.  Main-thread only, and only at quiescent points (no
   /// transfers in flight — e.g. between algorithm runs); a reset racing
   /// another thread's increments would produce torn totals.
   void reset_stats() noexcept;
-
-  /// True when a forked child process can keep transferring over the
-  /// inherited handle while the parent's copy stays usable — the property the
-  /// multi-worker layer (em/worker_group) needs to run cooperating processes
-  /// against one shared device.  FileBlockDevice qualifies (positional
-  /// pread/pwrite on a shared fd and offset-free file growth).
-  /// MemoryBlockDevice qualifies because its pages live in MAP_SHARED
-  /// anonymous arenas (prepare_fork materializes every page so a child never
-  /// needs to extend the page table).
-  [[nodiscard]] virtual bool fork_safe() const noexcept { return false; }
-
-  /// Called in the parent, at a quiescent point, immediately before forking
-  /// cooperating workers.  A backend uses this to reach the state fork
-  /// sharing needs: MemoryBlockDevice materializes all pages into its shared
-  /// arenas.  Default: nothing to prepare.
-  virtual void prepare_fork() {}
-
-  /// Fold I/O performed on this device by a cooperating forked worker into
-  /// the counters: the child's transfers moved real blocks of the shared
-  /// backing store, but its counter increments died with its address space.
-  /// `delta` is the child's stats() delta.  Main-thread only, at quiescent
-  /// points.
-  void absorb_stats(const IoStats& delta) noexcept;
 
   /// Pass-boundary hook: PassRunner calls this once when a pass starts and
   /// once when it ends, just before it records the pass's trace row.  The
@@ -334,20 +316,6 @@ class BlockDevice {
     return checksums_.load(std::memory_order_acquire);
   }
 
-  /// Dirty-sum tracking: while enabled, every checksum recorded by a write is
-  /// also noted in a dirty set that take_dirty_sums() drains.  A forked
-  /// worker enables this right after the fork so its checksum-table updates —
-  /// which would otherwise die with its copy-on-write address space — can be
-  /// shipped home in the result frame and folded back via merge_sums().
-  void set_sum_tracking(bool enabled) noexcept {
-    track_sums_.store(enabled, std::memory_order_release);
-  }
-  /// Drain the dirty set: every (block, len, sum) recorded since tracking was
-  /// enabled (or last drained), in block order.
-  [[nodiscard]] std::vector<SumEntry> take_dirty_sums();
-  /// Fold checksum entries from a cooperating process into the table (last
-  /// write wins, like the local write path).
-  void merge_sums(std::span<const SumEntry> entries);
   /// The full checksum table in export form (what a sidecar persists).
   [[nodiscard]] std::vector<SumEntry> export_sums() const;
 
@@ -358,14 +326,6 @@ class BlockDevice {
   /// interrupted run's journaled blocks stay verifiable on resume.
   /// Default: the device keeps no sidecar.
   virtual void persist_sums() {}
-
-  /// Count supervised re-execution I/O: `n` block transfers re-performed by
-  /// the worker supervisor after a worker failed (em/worker_group.hpp).  The
-  /// transfers themselves were already counted in reads/writes — this mirrors
-  /// note_retry's separation of recovery volume from base counts.
-  void note_worker_retries(std::uint64_t n) noexcept {
-    worker_retries_.fetch_add(n, std::memory_order_relaxed);
-  }
 
   /// Test injector for corruption: flip one bit of a block's stored bytes,
   /// bypassing the I/O counters and the checksum map — exactly what a torn
@@ -392,6 +352,9 @@ class BlockDevice {
                                std::span<const std::byte> in);
   /// Called when the device grows to `new_size_blocks` blocks.
   virtual void do_grow(std::uint64_t new_size_blocks) = 0;
+  /// Load checksum entries (a reloaded sidecar) into the table, the inverse
+  /// of export_sums.  Construction time only.
+  void import_sums(std::span<const SumEntry> entries);
 
  private:
   /// Outcome of consulting the fault injector for a `count`-I/O request.
@@ -436,7 +399,6 @@ class BlockDevice {
   std::atomic<std::uint64_t> reads_{0};
   std::atomic<std::uint64_t> writes_{0};
   std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> worker_retries_{0};
   // Fast path: one relaxed-ish load when disarmed.  The schedule state is
   // mutex-guarded so concurrent transfers charge it exactly once each.
   std::atomic<bool> fault_armed_{false};
@@ -449,10 +411,8 @@ class BlockDevice {
   // Sidecar page map: block -> checksum of its last write.  Guarded by its
   // own mutex (transfers of disjoint blocks run concurrently).
   std::atomic<bool> checksums_{false};
-  std::atomic<bool> track_sums_{false};
   mutable std::mutex sum_mu_;
   std::map<BlockId, BlockSum> sums_;
-  std::map<BlockId, BlockSum> dirty_sums_;  // guarded by sum_mu_
 };
 
 /// RAII ownership of a raw extent outside an EmVector — the recovery and
@@ -498,14 +458,6 @@ class ExtentGuard {
 class MemoryBlockDevice final : public BlockDevice {
  public:
   explicit MemoryBlockDevice(std::size_t block_bytes);
-  ~MemoryBlockDevice() override;
-
-  /// Pages live in MAP_SHARED anonymous arenas, so a forked worker's writes
-  /// land in memory the parent sees.  prepare_fork materializes every page
-  /// up front — the page *table* (blocks_) is ordinary copy-on-write memory,
-  /// so children must never need to install a new page pointer.
-  [[nodiscard]] bool fork_safe() const noexcept override { return true; }
-  void prepare_fork() override;
 
  protected:
   void do_read(BlockId block, std::span<std::byte> out) override;
@@ -517,28 +469,16 @@ class MemoryBlockDevice final : public BlockDevice {
   void do_grow(std::uint64_t new_size_blocks) override;
 
  private:
-  /// One mmap'd MAP_SHARED | MAP_ANONYMOUS chunk; pages are bump-allocated
-  /// from it and returned only when the device is destroyed (like the old
-  /// per-page heap allocations, which also lived until destruction).
-  struct Arena {
-    std::byte* base = nullptr;
-    std::size_t bytes = 0;
-    std::size_t used = 0;
-  };
-
-  // Locked copy loops; `mu_` is held shared during transfers (they touch
-  // disjoint blocks) and exclusively while do_grow resizes the page table.
+  // Copy loops; `mu_` is held shared during transfers (they touch disjoint
+  // blocks, so first writes install distinct page pointers) and exclusively
+  // while do_grow resizes the page table.
   void read_one(BlockId block, std::span<std::byte> out) const;
   void write_one(BlockId block, std::span<const std::byte> in);
-  /// Install a shared-arena page for `block` (idempotent).  Serialized by
-  /// `arena_mu_`, acquired after the shared transfer lock — first writes to
-  /// distinct blocks race on the bump pointer, not on the transfers.
-  std::byte* materialize(BlockId block);
 
   mutable std::shared_mutex mu_;
-  std::vector<std::byte*> blocks_;  // nullptr = never written (reads as zero)
-  std::mutex arena_mu_;
-  std::vector<Arena> arenas_;
+  // One zero-initialized page per written block; null = never written (reads
+  // as zero).
+  std::vector<std::unique_ptr<std::byte[]>> blocks_;
 };
 
 /// File-backed device for wall-clock experiments and crash-recoverable runs.
@@ -558,10 +498,6 @@ class FileBlockDevice final : public BlockDevice {
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   [[nodiscard]] std::string sidecar_path() const { return path_ + ".sums"; }
-
-  /// Positional I/O on a shared fd is fork-safe; growth is idempotent
-  /// (ftruncate to an absolute size), so cooperating processes compose.
-  [[nodiscard]] bool fork_safe() const noexcept override { return true; }
 
   void persist_sums() override;
 

@@ -92,6 +92,13 @@ class CheckpointJournal {
   /// journaled passes as resumed (see resumed_passes()).
   [[nodiscard]] std::optional<SortState> resume_sort(std::uint64_t fingerprint);
 
+  /// Does the journal hold sort state for this job?  A lookup only: unlike
+  /// resume_sort it counts nothing as resumed (for callers that just reclaim
+  /// the extent).
+  [[nodiscard]] bool has_sort(std::uint64_t fingerprint) const noexcept {
+    return sorts_.count(fingerprint) != 0;
+  }
+
   /// Publish a completed pass.  The journal takes ownership of `extent`
   /// and frees the superseded pass's extent (journal entry first, free
   /// second: a crash between the two only leaks until restore()).

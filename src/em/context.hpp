@@ -10,7 +10,6 @@
 // The model requires M >= 2B; the constructor enforces it.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -60,91 +59,47 @@ struct CpuTuning {
   std::size_t sort_shards = 1;
 };
 
-/// Knobs for the multi-process worker layer (em/worker_group.hpp,
-/// docs/model.md "Multi-worker partitioning and the PEM model").  Like
-/// shards and batch_blocks, `workers` is geometry, never output: the
-/// distributed passes decompose into work units whose shape depends only on
-/// (n, B, M, tuning); W merely assigns units to processes, so every W
-/// produces bit-identical bytes and identical logical IoStats totals.
+/// Knobs for the worker-lane layer (em/worker_group.hpp, docs/model.md
+/// "Multi-worker partitioning and the PEM model").  Like shards and
+/// batch_blocks, `workers` is geometry, never output: the distributed passes
+/// decompose into work units whose shape depends only on (n, B, M, tuning);
+/// W merely assigns units to lanes, so every W produces bit-identical bytes
+/// and identical logical IoStats totals.
 struct WorkerTuning {
-  /// Cooperating workers per distributed pass.  0 (the default) keeps
-  /// distribution_sort and multi_partition on the classic single-process
-  /// code; a WorkerGroup built at 0 is one inline lane, which is how
+  /// Worker lanes per distributed pass.  0 (the default) keeps
+  /// distribution_sort and multi_partition on the classic single-lane code;
+  /// a WorkerGroup built at 0 is one inline lane, which is how
   /// SplitterIndex::build runs the distributed plan.  1 runs the distributed
-  /// protocol with a single worker (same schedule as any other W; useful as
+  /// protocol with a single lane (same schedule as any other W; useful as
   /// the parity baseline).
   std::size_t workers = 0;
-  /// Crash injection for the resume tests: worker `kill_worker` dies
-  /// (`_exit(137)` when forked, WorkerDied when inline) at the start of
-  /// distributed round `kill_round` (1-based).  kill_round = 0 disarms.
+  /// Crash injection for the resume tests: lane `kill_worker` throws
+  /// WorkerDied at the start of distributed round `kill_round` (1-based).
+  /// kill_round = 0 disarms.
   std::size_t kill_worker = 0;
   std::uint64_t kill_round = 0;
-  /// Round supervision (em/worker_group.hpp, "Worker supervision" in
-  /// docs/model.md).  0 — the default and the seed behavior — makes any
-  /// worker failure fatal to the pass (WorkerDied; a journaled caller
-  /// resumes).  N >= 1 lets the supervisor re-execute a failed worker's unit
-  /// schedule inline up to N times per worker per round, with exponential
-  /// backoff starting at `retry_backoff`.  Re-executed I/O is attributed to
-  /// IoStats::worker_retries; base counts stay identical to the fault-free
-  /// run (the units are idempotent by the W-invariance contract).
-  std::uint64_t max_worker_retries = 0;
-  std::chrono::microseconds retry_backoff{0};
-  /// Per-round deadline in seconds for forked workers (0 = no deadline, the
-  /// seed's blocking drain).  A worker whose frame has not fully arrived by
-  /// the deadline is SIGKILLed and treated as a crash — recoverable when
-  /// max_worker_retries > 0.  A spurious timeout is safe: the unit schedule
-  /// is idempotent, so re-execution merely costs worker_retries.
-  double worker_timeout = 0.0;
-  /// Elastic degradation: after this many worker failures within one group
-  /// (counted across rounds), remaining rounds re-plan at half the workers
-  /// (floor, min 1) — output-transparent by W-invariance.  0 disables.
-  std::uint64_t degrade_after = 0;
-  /// Hang injection: worker `hang_worker` completes its round body, then
-  /// sleeps forever *before* writing its frame in round `hang_round` —
-  /// proving completed work is safely re-executable.  hang_round = 0 disarms.
-  std::size_t hang_worker = 0;
-  std::uint64_t hang_round = 0;
-  /// Frame-corruption injection: worker `corrupt_worker`'s result frame for
-  /// round `corrupt_round` has one payload byte flipped after the integrity
-  /// checksum is computed.  corrupt_round = 0 disarms.
-  std::size_t corrupt_worker = 0;
-  std::uint64_t corrupt_round = 0;
-  /// Memory-partitioning width: each distributed worker plans against and is
-  /// budgeted M / mem_workers bytes, so any W <= mem_workers keeps the
-  /// aggregate in-flight footprint <= M.  A *geometry* knob (it shapes unit
-  /// sizes), deliberately separate from `workers` so W itself stays
-  /// execution-only: every W at fixed mem_workers is bit-identical.  1 — the
-  /// default — reproduces the seed plan (workers share the full budget).
+  /// Memory-partitioning width: each lane plans against and is budgeted
+  /// M / mem_workers bytes, so any W <= mem_workers keeps the aggregate
+  /// in-flight footprint <= M.  A *geometry* knob (it shapes unit sizes),
+  /// deliberately separate from `workers` so W itself stays execution-only:
+  /// every W at fixed mem_workers is bit-identical.  1 — the default —
+  /// reproduces the seed plan (lanes share the full budget).
   std::size_t mem_workers = 1;
 };
 
-/// One structured supervision event from a distributed round — appended to
-/// the owning pass's PassTrace row and the JSONL trace.  `kind` is one of
-/// "death" (child died / pipe EOF before a complete frame), "timeout" (a
-/// worker was SIGKILLed past the round deadline), "corrupt-frame" (a frame
-/// failed its integrity check), "retry" (a failed worker's units were
-/// re-executed), "give-up" (retries exhausted; the failure became fatal), or
-/// "degrade" (the group re-planned at half the workers).
-struct SupervisionEvent {
-  std::uint64_t round = 0;
-  std::size_t worker = 0;
-  std::string kind;
-  std::string detail;
-};
-
-/// One worker's contribution to a distributed pass: its share of the
-/// PassTrace row's I/O delta.  `seconds` is the worker's busy
-/// time inside the round body; `barrier_seconds` the time it waited at the
-/// closing barrier for the slowest peer (max busy − own busy).
+/// One lane's contribution to a distributed pass: its share of the
+/// PassTrace row's I/O delta.  `seconds` is the lane's busy time inside the
+/// round body; `barrier_seconds` the time it waited at the closing barrier
+/// for the slowest peer (max busy − own busy).
 struct PassWorkerIo {
   std::size_t worker = 0;
   IoStats io;
   double seconds = 0.0;
   double barrier_seconds = 0.0;
-  /// The worker's peak MemoryBudget reservation inside its round bodies —
+  /// The lane's peak MemoryBudget reservation inside its round bodies —
   /// what the M/mem_workers partitioning contract is asserted against
-  /// (summed over any mem_workers concurrent workers it stays <= M).  0 when
-  /// unknown (inline rounds run against the coordinator's own budget).
+  /// (summed over any mem_workers concurrent lanes it stays <= M).  0 for
+  /// the inline lane, which runs against the coordinator's own budget.
   std::uint64_t peak_bytes = 0;
 };
 
@@ -308,9 +263,9 @@ class Context {
     return pass_trace_;
   }
 
-  /// Configure the multi-process worker layer.  Throws on absurd widths; 0
-  /// disables the distributed path (the default and the seed behavior).
-  /// Main-thread only, at quiescent points (no distributed round in flight).
+  /// Configure the worker-lane layer.  Throws on absurd widths; 0 disables
+  /// the distributed path (the default and the seed behavior).  Main-thread
+  /// only, at quiescent points (no distributed round in flight).
   void set_worker_tuning(const WorkerTuning& tuning) {
     if (tuning.workers > 64) {
       throw std::invalid_argument(
@@ -320,22 +275,18 @@ class Context {
       throw std::invalid_argument(
           "Context::set_worker_tuning: mem_workers must be >= 1");
     }
-    if (tuning.worker_timeout < 0.0) {
-      throw std::invalid_argument(
-          "Context::set_worker_tuning: worker_timeout must be >= 0");
-    }
     worker_tuning_ = tuning;
   }
   [[nodiscard]] const WorkerTuning& worker_tuning() const noexcept {
     return worker_tuning_;
   }
-  /// Cooperating workers per distributed pass (0 = classic path).
+  /// Worker lanes per distributed pass (0 = classic path).
   [[nodiscard]] std::size_t workers() const noexcept {
     return worker_tuning_.workers;
   }
 
-  /// Per-worker trace channel, the multi-process sibling of note_pass_hwm:
-  /// a distributed round deposits its per-worker deltas here and the pass
+  /// Per-lane trace channel, the distributed sibling of note_pass_hwm: a
+  /// distributed round deposits its per-lane deltas here and the pass
   /// engine's scope collects them into the pass's trace row on exit.
   /// Appending, so a pass of several rounds accumulates; take resets.
   void note_pass_workers(std::vector<PassWorkerIo> rows) {
@@ -345,17 +296,6 @@ class Context {
   }
   [[nodiscard]] std::vector<PassWorkerIo> take_pass_workers() noexcept {
     return std::exchange(pass_workers_, {});
-  }
-
-  /// Supervision-event channel, same shape as note_pass_workers: the worker
-  /// supervisor deposits structured events (retry / timeout / corrupt-frame /
-  /// give-up / degrade) here and the pass engine's scope collects them into
-  /// the pass's trace row on exit.
-  void note_supervision(SupervisionEvent event) {
-    supervision_.push_back(std::move(event));
-  }
-  [[nodiscard]] std::vector<SupervisionEvent> take_supervision() noexcept {
-    return std::exchange(supervision_, {});
   }
 
   /// In-pass memory high-water-mark channel.  A pass that tracks its own
@@ -384,7 +324,6 @@ class Context {
   WorkerTuning worker_tuning_;
   std::uint64_t pass_hwm_ = 0;
   std::vector<PassWorkerIo> pass_workers_;
-  std::vector<SupervisionEvent> supervision_;
   std::unique_ptr<ThreadPool> cpu_pool_;
 };
 

@@ -1,8 +1,8 @@
 // fnv.hpp — FNV-1a, the repo's one checksum.
 //
-// Used for per-block integrity sums (block_device.cpp), worker result-frame
-// integrity (worker_group.cpp), and output fingerprints in tests.  One shared
-// definition so a sum recorded by one layer is verifiable by another.
+// Used for per-block integrity sums (block_device.cpp) and output
+// fingerprints in tests.  One shared definition so a sum recorded by one
+// layer is verifiable by another.
 #pragma once
 
 #include <cstddef>

@@ -18,7 +18,7 @@ namespace emsplit {
 /// expressed in these units.
 ///
 /// This is a plain value type — a snapshot.  The live counters inside
-/// BlockDevice are relaxed atomics (concurrent query threads and pool workers
+/// BlockDevice are relaxed atomics (concurrent query threads and worker lanes
 /// increment them); `BlockDevice::stats()` folds them into an IoStats by
 /// value.
 struct IoStats {
@@ -30,15 +30,6 @@ struct IoStats {
   /// retried run are identical to the fault-free run and the paper's bounds
   /// stay stated in reads + writes alone.
   std::uint64_t retries = 0;
-  /// Block I/O re-performed by the worker supervisor after a worker process
-  /// died, hung past its deadline, or returned a corrupt result frame
-  /// (em/worker_group.hpp).  Like `retries`, deliberately *not* part of
-  /// total(): the supervisor re-executes the failed worker's unit schedule
-  /// inline, so its reads/writes land in the base counters exactly replacing
-  /// the counters the dead worker's frame would have reported — base counts
-  /// of a supervised run are identical to the fault-free run, and this field
-  /// records the re-executed volume separately.
-  std::uint64_t worker_retries = 0;
   /// Reads served from a decoded bucket payload (BucketScanCache).  No query
   /// path consults that cache any more, so this stays 0; the field remains
   /// because the benchmark harness reads it.  Such reads would still count
@@ -56,7 +47,6 @@ struct IoStats {
     reads += o.reads;
     writes += o.writes;
     retries += o.retries;
-    worker_retries += o.worker_retries;
     bucket_hits += o.bucket_hits;
     return *this;
   }
@@ -64,7 +54,6 @@ struct IoStats {
     a.reads -= b.reads;
     a.writes -= b.writes;
     a.retries -= b.retries;
-    a.worker_retries -= b.worker_retries;
     a.bucket_hits -= b.bucket_hits;
     return a;
   }

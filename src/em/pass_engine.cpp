@@ -6,7 +6,13 @@
 
 namespace emsplit {
 
-void PassTraceLog::record(PassTrace trace) {
+void PassTraceLog::record(PassTrace trace, std::size_t first_child) {
+  const auto self = static_cast<std::int64_t>(rows_.size());
+  // Rows nested deeper already point at their own parent, so the rows still
+  // without one are exactly this row's direct children.
+  for (std::size_t i = first_child; i < rows_.size(); ++i) {
+    if (rows_[i].parent < 0) rows_[i].parent = self;
+  }
   rows_.push_back(std::move(trace));
 }
 
@@ -15,7 +21,7 @@ void PassTraceLog::reset() { rows_.clear(); }
 IoStats PassTraceLog::total_io() const noexcept {
   IoStats total;
   for (const PassTrace& t : rows_) {
-    if (!t.resumed) total += t.io.base();
+    if (!t.resumed && t.parent < 0) total += t.io.base();
   }
   return total;
 }
@@ -36,9 +42,9 @@ PassRunner::Scope::~Scope() {
   t.resumed = false;
   t.hwm_bytes = runner_.ctx_->take_pass_hwm();
   t.worker_io = runner_.ctx_->take_pass_workers();
-  t.supervision = runner_.ctx_->take_supervision();
   (void)runner_.ctx_->shard_stats();  // pass-boundary hook
-  log->record(std::move(t));
+  // A sink attached mid-pass saw none of this pass's children.
+  log->record(std::move(t), log == log_ ? first_child_ : SIZE_MAX);
 }
 
 void PassRunner::note_resumed(const char* label, std::uint64_t passes) {
@@ -81,7 +87,6 @@ std::string pass_trace_json(const PassTrace& t) {
   s += ",\"reads\":" + std::to_string(t.io.reads);
   s += ",\"writes\":" + std::to_string(t.io.writes);
   s += ",\"retries\":" + std::to_string(t.io.retries);
-  s += ",\"worker_retries\":" + std::to_string(t.io.worker_retries);
   s += ",\"bytes\":" + std::to_string(t.bytes);
   s += ",\"hwm_bytes\":" + std::to_string(t.hwm_bytes);
   s += ",\"seconds\":";
@@ -89,6 +94,7 @@ std::string pass_trace_json(const PassTrace& t) {
   s += ",\"threads\":" + std::to_string(t.threads);
   s += ",\"resumed\":";
   s += t.resumed ? "true" : "false";
+  s += ",\"parent\":" + std::to_string(t.parent);
   s += ",\"workers\":[";
   for (std::size_t i = 0; i < t.worker_io.size(); ++i) {
     if (i > 0) s += ',';
@@ -97,23 +103,11 @@ std::string pass_trace_json(const PassTrace& t) {
          ",\"reads\":" + std::to_string(w.io.reads) +
          ",\"writes\":" + std::to_string(w.io.writes) +
          ",\"retries\":" + std::to_string(w.io.retries) +
-         ",\"worker_retries\":" + std::to_string(w.io.worker_retries) +
          ",\"peak_bytes\":" + std::to_string(w.peak_bytes) + ",\"seconds\":";
     append_double(s, w.seconds);
     s += ",\"barrier_seconds\":";
     append_double(s, w.barrier_seconds);
     s += "}";
-  }
-  s += "],\"supervision\":[";
-  for (std::size_t i = 0; i < t.supervision.size(); ++i) {
-    if (i > 0) s += ',';
-    const SupervisionEvent& e = t.supervision[i];
-    s += "{\"round\":" + std::to_string(e.round) +
-         ",\"worker\":" + std::to_string(e.worker) + ",\"kind\":\"";
-    append_escaped(s, e.kind);
-    s += "\",\"detail\":\"";
-    append_escaped(s, e.detail);
-    s += "\"}";
   }
   s += "]}";
   return s;

@@ -37,6 +37,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <utility>
@@ -74,28 +75,31 @@ struct PassTrace {
   /// Context::note_pass_hwm (0 for passes whose footprint is static — the
   /// budget's peak() already covers those).
   std::uint64_t hwm_bytes = 0;
-  /// Per-worker deltas of a distributed pass (Context::note_pass_workers),
-  /// partitioning `io` exactly.
-  /// Empty for single-process passes.
+  /// Per-lane deltas of a distributed pass (Context::note_pass_workers),
+  /// partitioning `io` exactly.  Empty for single-lane passes.
   std::vector<PassWorkerIo> worker_io;
-  /// Structured supervision events of the pass (Context::note_supervision):
-  /// worker retries, timeouts, corrupt frames, give-ups, degradations.
-  /// Empty on a failure-free pass.
-  std::vector<SupervisionEvent> supervision;
+  /// Row index (in the log) of the pass this one ran inside, -1 for a root.
+  /// A nested pass's I/O is part of its parent's `io` too, so only the roots
+  /// add up to the job's cost.
+  std::int64_t parent = -1;
 };
 
 /// Sink for PassTrace records.  Attach one to a Context (set_pass_trace) and
-/// every engine-run pass appends a row; detached (the default) the engine
-/// records nothing.  Main-thread only, like PhaseProfile.
+/// every engine-run pass appends a row when it ends; detached (the default)
+/// the engine records nothing.  Main-thread only, like PhaseProfile.
 class PassTraceLog {
  public:
-  void record(PassTrace trace);
+  /// Append `trace`.  Rows from index `first_child` on that have no parent
+  /// yet ran inside it (they ended first) and get this row as their parent;
+  /// the default adopts none (a row that enclosed nothing).
+  void record(PassTrace trace, std::size_t first_child = SIZE_MAX);
   [[nodiscard]] const std::vector<PassTrace>& rows() const noexcept {
     return rows_;
   }
   void reset();
 
-  /// Sum of the base I/O counts over all non-resumed rows.
+  /// Sum of the base I/O counts over the non-resumed root rows — the job's
+  /// cost, since every nested row's I/O is already inside its root's.
   [[nodiscard]] IoStats total_io() const noexcept;
 
  private:
@@ -141,11 +145,13 @@ class PassRunner {
       // Pass-boundary hook, then the clock (see BlockDevice::shard_stats).
       (void)runner.ctx_->shard_stats();
       start_ = std::chrono::steady_clock::now();
-      // Stale high-water marks, worker rows or supervision events from
-      // outside any pass must not leak into this pass's row.
+      // Stale high-water marks or worker rows from outside any pass must
+      // not leak into this pass's row.
       (void)runner.ctx_->take_pass_hwm();
       (void)runner.ctx_->take_pass_workers();
-      (void)runner.ctx_->take_supervision();
+      // Rows recorded from here until this scope ends are nested in it.
+      log_ = runner.ctx_->pass_trace();
+      if (log_ != nullptr) first_child_ = log_->rows().size();
     }
 
     ~Scope();
@@ -160,6 +166,8 @@ class PassRunner {
     std::uint64_t index_;
     IoStats start_io_;
     std::chrono::steady_clock::time_point start_;
+    const PassTraceLog* log_ = nullptr;  ///< the sink at entry
+    std::size_t first_child_ = SIZE_MAX;
   };
 
   Context* ctx_;
@@ -373,7 +381,8 @@ class LaneScratch {
 
 /// One PassTrace row as a single-line JSON object — the `--trace=FILE`
 /// JSON-lines row and the bench binaries' per-pass tag.  Always emits the
-/// `workers` and `supervision` arrays (`[]` on a single-process pass).
+/// `parent` index (-1 for a root) and the `workers` array (`[]` on a
+/// single-lane pass).
 [[nodiscard]] std::string pass_trace_json(const PassTrace& trace);
 
 /// Dump a whole log as JSON-lines, one row per line.  Returns false when the

@@ -1,8 +1,9 @@
-// thread_pool.hpp — the shared CPU worker pool behind parallel kernels.
+// thread_pool.hpp — the worker pool behind parallel kernels and worker lanes.
 //
-// One pool serves a whole Context (created by set_cpu_tuning).  Its only
-// primitive is run(): execute fn(i) for
-// every index i in [0, ntasks), with the calling thread participating, and
+// One pool serves a whole Context (created by set_cpu_tuning), and each
+// WorkerGroup with W >= 2 lanes owns one more.  Its only primitive is run():
+// execute fn(i) for every index i in [0, ntasks), with the calling thread
+// participating, and
 // return when all of them have finished.  Task indices are claimed under the
 // pool mutex in increasing order, so a batch of shard sorts starts in shard
 // order; completion order is of course scheduler-dependent, which is why
@@ -15,11 +16,18 @@
 // error behaviour deterministic too: the surfaced exception is the same one
 // a serial left-to-right loop would have hit first.
 //
-// The pool never touches the block device or the MemoryBudget — I/O stays on
-// the main thread, and budget reservations are made by the caller before
-// dispatch.  Tasks only read and write memory
-// handed to them by the caller, and run() is a full happens-before barrier
-// in both directions.
+// The pool itself never touches the block device or a MemoryBudget, and
+// run() is a full happens-before barrier in both directions.  Two kinds of
+// task run on it:
+//
+//  * CPU kernels (the Context's pool): tasks only read and write memory
+//    handed to them by the caller — no I/O, and no reservations (the caller
+//    reserves budget for every task before dispatch).
+//  * Worker lanes (a WorkerGroup's pool, em/worker_group.hpp): each task
+//    transfers blocks through the shared device — its transfer interface is
+//    thread-safe for disjoint blocks — and reserves only from the lane's own
+//    private Context.  Device allocation stays with the caller, outside
+//    run().
 #pragma once
 
 #include <condition_variable>

@@ -206,7 +206,7 @@ void SplitterServer::publish(Index idx) {
     const std::uint64_t fp = epoch_fingerprint(next);
     // A crash between a previous publish and its CURRENT bump leaves an
     // orphan under this fingerprint; reclaim it before re-publishing.
-    if (jr->resume_sort(fp)) {
+    if (jr->has_sort(fp)) {
       ctx_->device().deallocate(jr->take_sort_extent(fp));
     }
     const std::uint64_t n = idx.size();
@@ -250,7 +250,7 @@ void SplitterServer::publish(Index idx) {
     old_owner.reset();
     if (jr != nullptr) {
       const std::uint64_t pfp = epoch_fingerprint(next - 1);
-      if (jr->resume_sort(pfp)) {
+      if (jr->has_sort(pfp)) {
         ctx_->device().deallocate(jr->take_sort_extent(pfp));
       }
     }
@@ -272,7 +272,7 @@ bool SplitterServer::recover() {
   // A crash mid-refresh may have left the *next* epoch published in the
   // journal with CURRENT still naming this one: reclaim the orphan.
   const std::uint64_t nfp = epoch_fingerprint(e + 1);
-  if (jr->resume_sort(nfp)) {
+  if (jr->has_sort(nfp)) {
     ctx_->device().deallocate(jr->take_sort_extent(nfp));
   }
 

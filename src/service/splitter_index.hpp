@@ -274,9 +274,10 @@ class SplitterIndex {
 
   /// Build the index over `data`: sort into an owned copy, K exact-quantile
   /// buckets, one scan for the bucket maxima and the fence table.  The sort
-  /// is the src/dist/ plan whenever dist_fits holds — inline, with no worker
-  /// processes, at any ctx.workers() — and classic distribution_sort when it
-  /// does not (M below the plan's minimum, or reservations already held).
+  /// is the src/dist/ plan whenever dist_fits holds — on ctx.workers()
+  /// threaded lanes, or one inline lane at 0 — and classic
+  /// distribution_sort when it does not (M below the plan's minimum, or
+  /// reservations already held).
   /// Output bytes are the same either way.  `slack` is the equi-depth
   /// tolerance the caller asks for (validated >= 0); a sorted build always
   /// meets it exactly, with bucket sizes floor(N/K) or ceil(N/K).

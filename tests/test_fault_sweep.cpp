@@ -8,12 +8,10 @@
 // harness is that no fault position, pass boundary included, breaks the
 // invariants (docs/model.md, "Failure model, retries, and recovery").
 //
-// The worker-fault sweep at the bottom is the distributed analogue: a worker
-// killed, hung or frame-corrupted at EVERY (worker, round) position of a
-// supervised dsort / multi-partition must recover without restarting the
-// job — bit-identical output, identical base logical I/O, the re-executed
-// volume attributed to worker_retries, and the failure visible as structured
-// supervision events (docs/model.md, "Worker supervision").
+// The worker-kill sweep at the bottom is the distributed analogue: a lane
+// killed at EVERY (lane, round) position of a journaled dsort /
+// multi-partition must resume through the journal to bit-identical output
+// (docs/model.md, "Lanes").
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -316,8 +314,8 @@ TEST(CheckpointResume, SurvivesProcessReopen) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker supervision: a worker fault at every (worker, round) position of a
-// distributed job recovers in-place to an identical run.
+// Worker kills: a lane killed at every (lane, round) position of a
+// distributed job resumes through the journal to an identical run.
 
 // The distributed geometry of test_worker_group.cpp: 8-record blocks, 256
 // blocks of memory, 6000 records — dist_supported holds for both operations.
@@ -328,189 +326,133 @@ const std::vector<std::uint64_t> kWgRanks{1234, 3000, 4567};
 
 struct SweepRun {
   std::vector<Record> bytes;
-  std::vector<std::uint64_t> bounds;          // partition only
-  IoStats io;                                 // includes worker_retries
-  std::vector<SupervisionEvent> events;       // concatenated over all passes
+  std::vector<std::uint64_t> bounds;  // partition only
 };
 
-/// One supervised distributed run.  Empty `path` = memory device; otherwise
-/// a FileBlockDevice.  Both fork their workers (all devices are fork-safe).
-SweepRun run_supervised(const std::string& path, bool partition,
-                        const std::vector<Record>& host,
-                        const WorkerTuning& wt) {
-  MemoryBlockDevice mem_dev(kWgBlockBytes);
-  std::unique_ptr<FileBlockDevice> file_dev;
-  BlockDevice* dev = &mem_dev;
-  if (!path.empty()) {
-    std::remove(path.c_str());
-    file_dev = std::make_unique<FileBlockDevice>(path, kWgBlockBytes);
-    dev = file_dev.get();
-  }
-  Context ctx(*dev, kWgMemBlocks * kWgBlockBytes);
-  ctx.set_worker_tuning(wt);
-  PassTraceLog trace;
-  ctx.set_pass_trace(&trace);
+/// One distributed job on `ctx`; throws whatever the job throws.
+SweepRun run_job(Context& ctx, const std::vector<Record>& host,
+                 bool partition) {
   auto input = materialize<Record>(ctx, host);
-  dev->reset_stats();
   SweepRun run;
   if (partition) {
     auto res = multi_partition<Record>(ctx, input, kWgRanks);
-    run.io = dev->stats();
     run.bytes = dump(res.data);
     run.bounds = res.bounds;
   } else {
-    auto out = distribution_sort<Record>(ctx, input);
-    run.io = dev->stats();
-    run.bytes = dump(out);
+    run.bytes = dump(distribution_sort<Record>(ctx, input));
   }
-  for (const PassTrace& row : trace.rows()) {
-    run.events.insert(run.events.end(), row.supervision.begin(),
-                      row.supervision.end());
-  }
-  ctx.set_pass_trace(nullptr);
-  if (file_dev != nullptr) std::remove(path.c_str());
   return run;
 }
 
-enum class WorkerFault { kKill, kHang, kCorrupt };
+/// The device of one sweep step.  The file variant reopens the device file
+/// and the journal between the killed run and the resume, the way a new
+/// process would; the memory variant resumes in the same device.
+struct SweepDevice {
+  std::string path;  // empty: memory device
+  std::unique_ptr<BlockDevice> dev;
 
-const char* kind_name(WorkerFault f) {
-  switch (f) {
-    case WorkerFault::kKill: return "death";
-    case WorkerFault::kHang: return "timeout";
-    default: return "corrupt-frame";
+  void open(bool fresh) {
+    dev.reset();
+    if (path.empty()) {
+      if (fresh) dev = std::make_unique<MemoryBlockDevice>(kWgBlockBytes);
+      return;
+    }
+    if (fresh) std::remove(path.c_str());
+    dev = std::make_unique<FileBlockDevice>(path, kWgBlockBytes,
+                                            /*keep_file=*/true,
+                                            /*preserve_contents=*/true);
   }
-}
+};
 
 class WorkerFaultSweep : public ::testing::TestWithParam<bool> {};
 
-TEST_P(WorkerFaultSweep, EveryWorkerRoundPositionRecoversToIdenticalRun) {
+TEST_P(WorkerFaultSweep, KillAtEveryLaneRoundResumesBitIdenticalThroughJournal) {
   const bool use_file = GetParam();
   constexpr std::size_t kW = 2;
   const auto host = make_workload(Workload::kUniform, kWgRecords, 31);
+  // Per-variant names: ctest runs the two variants side by side.
+  const std::string stem =
+      testing::TempDir() + (use_file ? "/wsweep_file" : "/wsweep_mem");
+  const std::string jpath = stem + ".ckpt";
 
   for (const bool partition : {false, true}) {
     const std::string tag = std::string(use_file ? "file/" : "mem/") +
                             (partition ? "mpart" : "dsort");
-    const std::string path =
-        use_file ? testing::TempDir() + "/wsweep_" +
-                       (partition ? "p" : "s") + ".dev"
-                 : std::string();
-    WorkerTuning fault_free;
-    fault_free.workers = kW;
-    const SweepRun ref = run_supervised(path, partition, host, fault_free);
-    ASSERT_TRUE(ref.events.empty()) << tag;
-    ASSERT_EQ(ref.io.worker_retries, 0u) << tag;
+    SweepRun ref;
+    {
+      MemoryBlockDevice dev(kWgBlockBytes);
+      Context ctx(dev, kWgMemBlocks * kWgBlockBytes);
+      ctx.set_worker_tuning({kW});
+      ref = run_job(ctx, host, partition);
+    }
 
-    for (const WorkerFault fault :
-         {WorkerFault::kKill, WorkerFault::kHang, WorkerFault::kCorrupt}) {
-      // Rounds are discovered by sweeping upward until an injection at
-      // round R no longer fires (the job has fewer than R rounds).
-      std::uint64_t rounds_hit = 0;
-      for (std::uint64_t r = 1;; ++r) {
-        bool fired = false;
-        for (std::size_t w = 0; w < kW; ++w) {
-          WorkerTuning wt;
-          wt.workers = kW;
-          wt.max_worker_retries = 2;
-          switch (fault) {
-            case WorkerFault::kKill:
-              wt.kill_worker = w;
-              wt.kill_round = r;
-              break;
-            case WorkerFault::kHang:
-              wt.hang_worker = w;
-              wt.hang_round = r;
-              wt.worker_timeout = 0.5;  // bodies run in milliseconds
-              break;
-            case WorkerFault::kCorrupt:
-              wt.corrupt_worker = w;
-              wt.corrupt_round = r;
-              break;
+    // Rounds are discovered by sweeping upward until a kill at round R no
+    // longer fires (the job has fewer than R rounds).
+    std::uint64_t rounds_hit = 0;
+    for (std::uint64_t r = 1;; ++r) {
+      bool fired = false;
+      for (std::size_t w = 0; w < kW; ++w) {
+        const std::string at = tag + " (lane " + std::to_string(w) +
+                               ", round " + std::to_string(r) + ")";
+        SweepDevice sd{use_file ? stem + ".dev" : std::string(), nullptr};
+        sd.open(/*fresh=*/true);
+        std::remove(jpath.c_str());
+        auto journal = std::make_unique<CheckpointJournal>(*sd.dev, jpath);
+        bool died = false;
+        {
+          Context ctx(*sd.dev, kWgMemBlocks * kWgBlockBytes);
+          ctx.set_checkpoint(journal.get());
+          ctx.set_worker_tuning({kW, w, r});
+          try {
+            const SweepRun run = run_job(ctx, host, partition);
+            // Round r does not exist: the run completed untouched.
+            ASSERT_EQ(run.bytes, ref.bytes) << at;
+          } catch (const WorkerDied& e) {
+            died = true;
+            EXPECT_EQ(e.worker(), w) << at;
           }
-          const SweepRun run = run_supervised(path, partition, host, wt);
-          const std::string at = tag + std::string("/") + kind_name(fault) +
-                                 " (w=" + std::to_string(w) +
-                                 ", r=" + std::to_string(r) + ")";
-          if (run.events.empty()) {
-            // Round r does not exist: the run must have been fault-free.
-            ASSERT_EQ(run.io.worker_retries, 0u) << at;
-            continue;
-          }
+          ctx.set_checkpoint(nullptr);
+        }
+        if (died) {
           fired = true;
-          // The whole contract at once: the job completed without restart,
-          // bytes bit-identical, base logical I/O identical, re-executed
-          // volume attributed separately, failure + recovery both recorded.
+          if (use_file) {
+            journal.reset();  // the journal first: it persists the sidecar
+            sd.open(/*fresh=*/false);
+            journal = std::make_unique<CheckpointJournal>(*sd.dev, jpath);
+            journal->restore_device();
+          }
+          Context ctx(*sd.dev, kWgMemBlocks * kWgBlockBytes);
+          ctx.set_checkpoint(journal.get());
+          ctx.set_worker_tuning({kW});
+          const SweepRun run = run_job(ctx, host, partition);
           ASSERT_EQ(run.bytes, ref.bytes) << at;
           ASSERT_EQ(run.bounds, ref.bounds) << at;
-          ASSERT_EQ(run.io.base(), ref.io.base()) << at;
-          ASSERT_GT(run.io.worker_retries, 0u) << at;
-          bool saw_fault = false;
-          bool saw_retry = false;
-          for (const SupervisionEvent& e : run.events) {
-            if (e.kind == kind_name(fault) && e.round == r && e.worker == w) {
-              saw_fault = true;
-            }
-            if (e.kind == "retry" && e.round == r && e.worker == w) {
-              saw_retry = true;
-            }
+          if (r > 1) {
+            EXPECT_GE(journal->resumed_passes(), 1u)
+                << at << ": a pass finished before the kill was repaid";
           }
-          EXPECT_TRUE(saw_fault) << at << ": no failure event recorded";
-          EXPECT_TRUE(saw_retry) << at << ": no retry event recorded";
+          EXPECT_EQ(journal->owned_blocks(), 0u) << at;
+          ctx.set_checkpoint(nullptr);
         }
-        if (!fired) break;
-        ++rounds_hit;
+        journal.reset();
+        sd.dev.reset();
+        if (use_file) std::remove(sd.path.c_str());
       }
-      // Every distributed job here has at least formation, one selection
-      // round and the scatter — if fewer rounds fired, the geometry fell
-      // back to the classic path and the sweep proved nothing.
-      ASSERT_GE(rounds_hit, 3u) << tag << "/" << kind_name(fault);
+      if (!fired) break;
+      ++rounds_hit;
     }
+    // Every distributed job here has at least formation, one selection
+    // round and the scatter — if fewer rounds fired, the geometry fell back
+    // to the classic path and the sweep proved nothing.
+    ASSERT_GE(rounds_hit, 3u) << tag;
   }
+  std::remove(jpath.c_str());
 }
 
-INSTANTIATE_TEST_SUITE_P(Modes, WorkerFaultSweep, ::testing::Bool(),
+INSTANTIATE_TEST_SUITE_P(Devices, WorkerFaultSweep, ::testing::Bool(),
                          [](const auto& mode_info) {
-                           return mode_info.param ? "Forked" : "Inline";
+                           return mode_info.param ? "File" : "Memory";
                          });
-
-// The structured events surface in the JSONL trace exactly as documented:
-// one "supervision" array per pass row, each event carrying round, worker,
-// kind and detail.
-TEST(WorkerFaultSweepTrace, SupervisionEventsReachTheJsonTrace) {
-  const auto host = make_workload(Workload::kUniform, kWgRecords, 32);
-  MemoryBlockDevice dev(kWgBlockBytes);
-  Context ctx(dev, kWgMemBlocks * kWgBlockBytes);
-  WorkerTuning wt;
-  wt.workers = 2;
-  wt.kill_worker = 0;
-  wt.kill_round = 2;
-  wt.max_worker_retries = 1;
-  ctx.set_worker_tuning(wt);
-  PassTraceLog trace;
-  ctx.set_pass_trace(&trace);
-  auto input = materialize<Record>(ctx, host);
-  auto out = distribution_sort<Record>(ctx, input);
-  ASSERT_EQ(out.size(), kWgRecords);
-
-  bool found = false;
-  for (const PassTrace& row : trace.rows()) {
-    const std::string json = pass_trace_json(row);
-    if (row.supervision.empty()) {
-      EXPECT_NE(json.find("\"supervision\":[]"), std::string::npos) << row.pass;
-      continue;
-    }
-    found = true;
-    EXPECT_NE(json.find("\"supervision\":[{\"round\":2,\"worker\":0,"
-                        "\"kind\":\"death\""),
-              std::string::npos)
-        << json;
-    EXPECT_GT(row.io.worker_retries, 0u) << row.pass;
-    EXPECT_NE(json.find("\"worker_retries\":"), std::string::npos);
-  }
-  EXPECT_TRUE(found) << "kill at round 2 left no supervision events";
-  ctx.set_pass_trace(nullptr);
-}
 
 }  // namespace
 }  // namespace emsplit

@@ -248,6 +248,51 @@ TEST(PassTraceTest, ExternalSortEmitsOneRowPerPass) {
   env.ctx.set_pass_trace(nullptr);
 }
 
+// Classic distribution sort nests passes: splitters/* rows run inside
+// mpart/recursive-partition, which runs inside dsort/partition.  Rows are
+// recorded as passes end, and each nested row names its enclosing row; the
+// roots alone add up to the device delta, while summing every row would
+// count the nested I/O twice.
+TEST(PassTraceTest, NestedRowsNameTheirParentAndRootsSumToTheCost) {
+  EmEnv env(256, 16);
+  PassTraceLog trace;
+  env.ctx.set_pass_trace(&trace);
+  auto host = make_workload(Workload::kUniform, 20000, 8);
+  auto in = materialize<Record>(env.ctx, host);
+  env.dev.reset_stats();
+  auto out = distribution_sort<Record>(env.ctx, in);
+  const IoStats dev_io = env.dev.stats().base();
+  ASSERT_TRUE(is_sorted_em<Record>(out));
+
+  const auto& rows = trace.rows();
+  IoStats roots;
+  IoStats all;
+  std::size_t nested = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const PassTrace& t = rows[i];
+    all += t.io.base();
+    EXPECT_NE(pass_trace_json(t).find("\"parent\":" +
+                                      std::to_string(t.parent)),
+              std::string::npos);
+    if (t.parent < 0) {
+      roots += t.io.base();
+      continue;
+    }
+    ++nested;
+    const auto p = static_cast<std::size_t>(t.parent);
+    ASSERT_GT(p, i) << t.pass << ": a parent ends after its children";
+    ASSERT_LT(p, rows.size()) << t.pass;
+    EXPECT_LE(t.io.total(), rows[p].io.total()) << t.pass << " in "
+                                                << rows[p].pass;
+  }
+  EXPECT_GT(nested, 0u) << "no nested pass: the geometry no longer recurses";
+  EXPECT_EQ(rows.back().parent, -1) << "the last row to end is a root";
+  EXPECT_EQ(roots, dev_io);
+  EXPECT_EQ(trace.total_io(), dev_io);
+  EXPECT_GT(all.total(), dev_io.total()) << "nested I/O is counted twice";
+  env.ctx.set_pass_trace(nullptr);
+}
+
 TEST(PassTraceTest, DetachedContextRecordsNothing) {
   EmEnv env(256, 8);
   auto host = make_workload(Workload::kUniform, 1000, 6);

@@ -7,8 +7,9 @@
 // batched lines answered in order, oversized lines rejected, a client
 // closing mid-reply ends only its own connection), readiness (the serve
 // hook and the CLI's readiness line come only once the socket listens), the
-// CLI's bounded pipelined client, and the TCP front end (bit-identical
-// replies to the Unix socket).
+// CLI's bounded pipelined client, the TCP front end (bit-identical
+// replies to the Unix socket), and load as never output (client count and
+// pipelining change neither replies nor logical reads).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -271,6 +272,99 @@ TEST(SplitterServiceAdmission, QueuedQueryAdmitsOnBudgetRelease) {
   EXPECT_EQ(rep.value, oracle_rank(sorted_ref, q.lo));
   // Condvar wakeup, not deadline expiry: far below the 10s queue window.
   EXPECT_LT(rep.queue_seconds, 5.0);
+  std::remove(src.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Load is never output: the same query mix split round-robin over 1 or 4
+// client threads, sent one query at a time or in pipelined batches (one
+// pinned snapshot per batch), gets the serial pass's replies and the same
+// logical reads, and nothing sheds.
+
+TEST(PipelinedProtocol, ClientsAndBatchesNeverChangeRepliesOrReads) {
+  const auto host = make_workload(Workload::kUniform, kRecords, 58);
+  const auto sorted_ref = sorted_copy(host);
+  const std::string src = temp_path("load_src.rec");
+  write_record_file(src, host);
+  SplitterServer::Config cfg;
+  cfg.source_path = src;
+  cfg.buckets = kBuckets;
+  testutil::EmEnv env(kBlockBytes, kMemBlocks);
+  SplitterServer server(env.ctx, cfg);
+  server.start();
+
+  std::vector<SplitterServer::Request> mix;
+  for (std::size_t r = 0; r < kRecords; r += 37) {
+    SplitterServer::Request q;
+    q.kind = QueryKind::kRank;
+    q.lo = sorted_ref[r];
+    mix.push_back(q);
+    q.kind = QueryKind::kRange;
+    q.hi = sorted_ref[std::min(kRecords - 1, r + 500)];
+    mix.push_back(q);
+    if (r % 5 == 0) {
+      SplitterServer::Request t;
+      t.kind = r % 2 == 0 ? QueryKind::kTopK : QueryKind::kHistogram;
+      t.k = 3 + r % 11;
+      t.largest = r % 3 == 0;
+      mix.push_back(t);
+    }
+  }
+  std::vector<SplitterServer::Reply> serial;
+  std::uint64_t serial_reads = 0;
+  for (const auto& q : mix) {
+    serial.push_back(server.query(q));
+    ASSERT_TRUE(serial.back().ok) << serial.back().error;
+    serial_reads += serial.back().io.base().reads;
+  }
+
+  struct Leg {
+    std::size_t clients;
+    std::size_t batch;  // 0: one query per call
+  };
+  for (const Leg leg : {Leg{1, 0}, Leg{4, 0}, Leg{1, 8}, Leg{4, 8}}) {
+    const std::string tag = std::to_string(leg.clients) + " client(s), batch " +
+                            std::to_string(leg.batch);
+    std::vector<SplitterServer::Reply> got(mix.size());
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < leg.clients; ++c) {
+      clients.emplace_back([&, c] {
+        std::vector<std::size_t> idx;
+        for (std::size_t i = c; i < mix.size(); i += leg.clients) {
+          idx.push_back(i);
+        }
+        if (leg.batch == 0) {
+          for (const std::size_t i : idx) got[i] = server.query(mix[i], c + 1);
+          return;
+        }
+        for (std::size_t b = 0; b < idx.size(); b += leg.batch) {
+          const std::size_t e = std::min(idx.size(), b + leg.batch);
+          std::vector<SplitterServer::Request> chunk;
+          for (std::size_t k = b; k < e; ++k) chunk.push_back(mix[idx[k]]);
+          std::vector<SplitterServer::Reply> reps =
+              server.query_batch(chunk, c + 1);
+          for (std::size_t k = b; k < e; ++k) {
+            got[idx[k]] = std::move(reps[k - b]);
+          }
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    std::uint64_t reads = 0;
+    for (std::size_t i = 0; i < mix.size(); ++i) {
+      const auto& a = serial[i];
+      const auto& b = got[i];
+      ASSERT_TRUE(b.ok) << tag << " query " << i << ": " << b.error;
+      EXPECT_EQ(b.value, a.value) << tag << " query " << i;
+      EXPECT_EQ(b.records, a.records) << tag << " query " << i;
+      EXPECT_EQ(b.hist.sizes, a.hist.sizes) << tag << " query " << i;
+      EXPECT_EQ(b.hist.boundaries, a.hist.boundaries) << tag << " query " << i;
+      EXPECT_EQ(b.io.base(), a.io.base()) << tag << " query " << i;
+      reads += b.io.base().reads;
+    }
+    EXPECT_EQ(reads, serial_reads) << tag;
+  }
+  EXPECT_EQ(server.shed(), 0u);
   std::remove(src.c_str());
 }
 

@@ -900,6 +900,64 @@ TEST(SplitterServiceRecovery, KillMidRefreshServesLastPublishedEpoch) {
   std::remove(src.c_str());
 }
 
+// Reclaiming a superseded epoch's extent is not a resume: a fresh journal
+// served through three refreshes reports no resumed passes, and a restart
+// reports exactly the passes of the epoch it adopts.
+TEST(SplitterServiceRecovery, RefreshesDoNotCountAsResumedPasses) {
+  const auto host = make_workload(Workload::kUniform, kRecords, 53);
+  const std::string src = temp_path("resumed_src.rec");
+  write_record_file(src, host);
+  const std::string state_dir = temp_path("resumed_state");
+  ASSERT_EQ(::mkdir(state_dir.c_str(), 0755), 0);
+  const std::string dev_path = temp_path("resumed.dev");
+  const std::string jpath = temp_path("resumed.ckpt");
+
+  SplitterServer::Config cfg;
+  cfg.source_path = src;
+  cfg.buckets = kBuckets;
+  cfg.state_dir = state_dir;
+  {
+    FileBlockDevice dev(dev_path, kBlockBytes, /*keep_file=*/true);
+    CheckpointJournal journal(dev, jpath);
+    Context ctx(dev, kMemBlocks * kBlockBytes);
+    ctx.set_checkpoint(&journal);
+    {
+      SplitterServer server(ctx, cfg);
+      server.start();
+      EXPECT_FALSE(server.recovered());
+      for (std::uint64_t e = 2; e <= 4; ++e) {
+        ASSERT_EQ(server.refresh(), e);
+      }
+      EXPECT_EQ(journal.resumed_passes(), 0u)
+          << "a refresh counted as a resumed pass";
+    }
+    ctx.set_checkpoint(nullptr);
+  }
+  {
+    FileBlockDevice dev(dev_path, kBlockBytes, /*keep_file=*/true,
+                        /*preserve_contents=*/true);
+    CheckpointJournal journal(dev, jpath);
+    journal.restore_device();
+    Context ctx(dev, kMemBlocks * kBlockBytes);
+    ctx.set_checkpoint(&journal);
+    {
+      SplitterServer server(ctx, cfg);
+      server.start();
+      ASSERT_TRUE(server.recovered());
+      EXPECT_EQ(server.epoch(), 4u);
+      // The adopted epoch was published as one pass.
+      EXPECT_EQ(journal.resumed_passes(), 1u);
+    }
+    ctx.set_checkpoint(nullptr);
+  }
+  std::remove(dev_path.c_str());
+  std::remove((dev_path + ".sums").c_str());
+  std::remove(jpath.c_str());
+  std::remove((state_dir + "/SERVICE_CURRENT").c_str());
+  ::rmdir(state_dir.c_str());
+  std::remove(src.c_str());
+}
+
 // A version-1 journal entry (unsorted buckets plus their maxima, from before
 // the index became one sorted run) must not be served: start() rebuilds
 // from the source, continues the epoch numbering and answers exactly.

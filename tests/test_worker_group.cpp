@@ -1,39 +1,35 @@
-// Multi-worker execution layer: W is geometry, never output.
+// Worker-lane layer: W is geometry, never output.
 //
 // The matrix test runs distribution_sort and multi_partition under every
-// combination of worker count W in {1, 2, 4}, I/O tuning (sync, batched)
-// and backend (memory and file -- both fork-safe since the memory device
-// moved to MAP_SHARED arenas -- plus memory with workers forced inline via
-// EMSPLIT_WORKERS_INLINE) and asserts the whole contract
-// at once: output bytes bit-identical across W, logical IoStats totals
-// identical across W, and every distributed pass's per-worker trace rows
-// partitioning that pass's I/O delta exactly.
+// combination of lane count W in {1, 2, 4}, I/O tuning (sync, batched) and
+// device (memory, file) and asserts the whole contract at once: output bytes
+// bit-identical across W, logical IoStats totals identical across W, and
+// every distributed pass's per-lane trace rows partitioning that pass's I/O
+// delta exactly.
 //
-// The kill tests arm WorkerTuning's crash injection so one worker dies at
-// the start of a distributed round; with a journal attached the rerun must
+// The kill tests arm WorkerTuning's crash injection so one lane dies at the
+// start of a distributed round; with a journal attached the rerun must
 // resume past the journaled passes (strictly cheaper than a cold run) and
-// still produce bit-identical output -- in both execution modes (a thrown
-// WorkerDied inline, an _exit(137) child under fork).
+// still produce bit-identical output — for lane 0, which runs on the
+// caller's thread, and for a lane on the group's pool.
 //
-// The supervision tests drive WorkerGroup's round supervisor directly with
-// custom bodies: crash / hang / corrupt-frame injections recover via inline
-// re-execution (bounded retries, worker_retries attribution, structured
-// SupervisionEvents), retries exhaust into WorkerDied, elastic degradation
-// halves the group between rounds, and the M/mem_workers memory partition
-// bounds every child's reported budget peak.  End-to-end sweeps over whole
-// jobs live in test_fault_sweep.cpp.
+// The mode tests drive WorkerGroup directly: the W = 0 inline lane, lanes
+// running concurrently on private contexts, the lowest-lane exception rule,
+// checksums written by concurrent lanes, and the M/mem_workers memory
+// partition bounding every lane's budget peak.  The kill sweep over every
+// (lane, round) position lives in test_fault_sweep.cpp.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
-
-#include <cstdlib>
 
 #include "core/api.hpp"
 #include "dist/dist_plan.hpp"
@@ -46,13 +42,6 @@ namespace emsplit {
 namespace {
 
 using testutil::sorted_copy;
-
-/// Scoped EMSPLIT_WORKERS_INLINE=1: every device is fork-safe now, so the
-/// inline execution path only runs when explicitly forced.
-struct InlineWorkersGuard {
-  InlineWorkersGuard() { ::setenv("EMSPLIT_WORKERS_INLINE", "1", 1); }
-  ~InlineWorkersGuard() { ::unsetenv("EMSPLIT_WORKERS_INLINE"); }
-};
 
 // Geometry under which dist_supported holds for both operations: 128-byte
 // blocks (8 records), 256 blocks of memory, 6000 records => 5 formation
@@ -81,15 +70,14 @@ std::vector<Record> dump(const EmVector<Record>& v) {
   return out;
 }
 
-/// Every distributed pass row carries exactly W worker rows whose reads,
-/// writes and retries sum to the row's own delta -- the per-worker analogue
-/// of the sharded-device partition check.
+/// Every distributed pass row carries exactly W lane rows whose reads,
+/// writes and retries sum to the row's own delta.
 void check_worker_rows(const PassTraceLog& trace, std::size_t W,
                        const std::string& tag) {
   std::size_t dist_rows = 0;
   for (const PassTrace& row : trace.rows()) {
     if (row.worker_io.empty()) continue;
-    if (row.resumed) continue;  // replayed rows carry no fresh worker work
+    if (row.resumed) continue;  // replayed rows carry no fresh lane work
     ++dist_rows;
     ASSERT_EQ(row.worker_io.size(), W) << tag << " " << row.pass;
     IoStats sum;
@@ -97,8 +85,6 @@ void check_worker_rows(const PassTraceLog& trace, std::size_t W,
     EXPECT_EQ(sum.reads, row.io.reads) << tag << " " << row.pass;
     EXPECT_EQ(sum.writes, row.io.writes) << tag << " " << row.pass;
     EXPECT_EQ(sum.retries, row.io.retries) << tag << " " << row.pass;
-    EXPECT_EQ(sum.worker_retries, row.io.worker_retries)
-        << tag << " " << row.pass;
   }
   EXPECT_GT(dist_rows, 0u) << tag << ": no distributed pass recorded";
 }
@@ -109,16 +95,10 @@ struct LegResult {
   std::vector<std::uint64_t> bounds;  // partition only
 };
 
-/// The execution-mode matrix: every backend forks by default (they are all
-/// fork-safe), and kMemInline pins the legacy inline path via the env knob.
-enum class WorkerBackend { kMemInline, kMem, kFile };
+enum class WorkerBackend { kMem, kFile };
 
 constexpr const char* backend_name(WorkerBackend b) {
-  switch (b) {
-    case WorkerBackend::kMemInline: return "InlineMemory";
-    case WorkerBackend::kMem: return "ForkedMemory";
-    default: return "ForkedFile";
-  }
+  return b == WorkerBackend::kMem ? "Memory" : "File";
 }
 
 /// One (backend, tuning, W, op) leg.  `file_path` names the backing file for
@@ -126,20 +106,12 @@ constexpr const char* backend_name(WorkerBackend b) {
 LegResult run_leg(WorkerBackend backend, const std::string& file_path,
                   const IoTuning& io, std::size_t W, bool partition,
                   const std::vector<Record>& host) {
-  std::unique_ptr<InlineWorkersGuard> inline_guard;
-  if (backend == WorkerBackend::kMemInline) {
-    inline_guard = std::make_unique<InlineWorkersGuard>();
-  }
   std::unique_ptr<BlockDevice> owned;
-  switch (backend) {
-    case WorkerBackend::kMemInline:
-    case WorkerBackend::kMem:
-      owned = std::make_unique<MemoryBlockDevice>(kBlockBytes);
-      break;
-    case WorkerBackend::kFile:
-      std::remove(file_path.c_str());
-      owned = std::make_unique<FileBlockDevice>(file_path, kBlockBytes);
-      break;
+  if (backend == WorkerBackend::kMem) {
+    owned = std::make_unique<MemoryBlockDevice>(kBlockBytes);
+  } else {
+    std::remove(file_path.c_str());
+    owned = std::make_unique<FileBlockDevice>(file_path, kBlockBytes);
   }
   BlockDevice* dev = owned.get();
   Context ctx(*dev, kMemBlocks * kBlockBytes);
@@ -236,22 +208,24 @@ TEST_P(WorkerTransparency, OutputAndIoInvariantAcrossW) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, WorkerTransparency,
-    ::testing::Values(WorkerBackend::kMemInline, WorkerBackend::kMem,
-                      WorkerBackend::kFile),
+    ::testing::Values(WorkerBackend::kMem, WorkerBackend::kFile),
     [](const auto& param_info) { return backend_name(param_info.param); });
 
 // ---------------------------------------------------------------------------
-// Crash injection: a worker killed mid-job leaves a resumable journal, and
-// the rerun repays only the interrupted pass onward.
+// Crash injection: a lane killed mid-job leaves a resumable journal, and the
+// rerun repays only the interrupted pass onward.
 
-TEST(WorkerGroupKill, InlineWorkerDiesAndJobResumes) {
-  InlineWorkersGuard inline_workers;  // pin the thrown-WorkerDied path
-  const auto host = make_workload(Workload::kUniform, kRecords, 72);
+/// Kill lane `victim` of a W-lane dsort at round 2 (the first selection
+/// round — run formation is already journaled as pass 1), then rerun
+/// disarmed at `resume_w` lanes: the job resumes, repays strictly less than
+/// a cold run, and still sorts.
+void kill_and_resume(BlockDevice& dev, std::size_t W, std::size_t victim,
+                     std::size_t resume_w, std::uint64_t seed,
+                     const std::string& jname) {
+  const auto host = make_workload(Workload::kUniform, kRecords, seed);
   const auto sorted_ref = sorted_copy(host);
-
-  MemoryBlockDevice dev(kBlockBytes);
   Context ctx(dev, kMemBlocks * kBlockBytes);
-  ctx.set_worker_tuning({2});
+  ctx.set_worker_tuning({W});
   auto input = materialize<Record>(ctx, std::span<const Record>(host));
 
   // Uninterrupted reference cost for the repay comparison.
@@ -259,29 +233,26 @@ TEST(WorkerGroupKill, InlineWorkerDiesAndJobResumes) {
   { auto ref = distribution_sort<Record>(ctx, input); }
   const std::uint64_t ref_total = dev.stats().total();
 
-  const std::string jpath = testing::TempDir() + "/wg_kill_inline.ckpt";
+  const std::string jpath = testing::TempDir() + "/" + jname;
   std::remove(jpath.c_str());
   {
     CheckpointJournal journal(dev, jpath);
     ctx.set_checkpoint(&journal);
-
-    // Worker 0 dies at the start of round 2 (the first selection round --
-    // run formation has already been journaled as pass 1).
-    ctx.set_worker_tuning({2, 0, 2});
+    ctx.set_worker_tuning({W, victim, 2});
     bool died = false;
     try {
       auto out = distribution_sort<Record>(ctx, input);
     } catch (const WorkerDied& e) {
       died = true;
-      EXPECT_EQ(e.worker(), 0u);
+      EXPECT_EQ(e.worker(), victim);
     }
     ASSERT_TRUE(died) << "kill hook never fired";
     ASSERT_GT(journal.owned_blocks(), 0u)
         << "formation pass was not journaled before the kill";
 
-    // Disarm and rerun: resumes at pass 1, repays strictly less than a cold
-    // run, and the output is still the oracle.
-    ctx.set_worker_tuning({2});
+    // The fingerprint and the journaled extents are W-free, so any W may
+    // finish the job.
+    ctx.set_worker_tuning({resume_w});
     dev.reset_stats();
     auto out = distribution_sort<Record>(ctx, input);
     const std::uint64_t resumed_total = dev.stats().total();
@@ -294,420 +265,312 @@ TEST(WorkerGroupKill, InlineWorkerDiesAndJobResumes) {
   std::remove(jpath.c_str());
 }
 
-TEST(WorkerGroupKill, ForkedWorkerDiesAndJobResumes) {
-  const auto host = make_workload(Workload::kUniform, kRecords, 73);
-  const auto sorted_ref = sorted_copy(host);
+TEST(WorkerGroupKill, CallerLaneDiesAndJobResumes) {
+  MemoryBlockDevice dev(kBlockBytes);
+  kill_and_resume(dev, 2, 0, 2, 72, "wg_kill_caller.ckpt");
+}
 
-  const std::string dev_path = testing::TempDir() + "/wg_kill_forked.dev";
+TEST(WorkerGroupKill, PoolLaneDiesAndJobResumesUnderAnotherW) {
+  const std::string dev_path = testing::TempDir() + "/wg_kill_pool.dev";
   std::remove(dev_path.c_str());
-  FileBlockDevice dev(dev_path, kBlockBytes);
-  Context ctx(dev, kMemBlocks * kBlockBytes);
-  ctx.set_worker_tuning({4});
-  auto input = materialize<Record>(ctx, std::span<const Record>(host));
-
-  dev.reset_stats();
-  { auto ref = distribution_sort<Record>(ctx, input); }
-  const std::uint64_t ref_total = dev.stats().total();
-
-  const std::string jpath = testing::TempDir() + "/wg_kill_forked.ckpt";
-  std::remove(jpath.c_str());
   {
-    CheckpointJournal journal(dev, jpath);
-    ctx.set_checkpoint(&journal);
-
-    // Worker 3 _exit(137)s at the start of round 2; the coordinator turns
-    // the missing frame into WorkerDied after absorbing the other workers'
-    // stats deltas.
-    ctx.set_worker_tuning({4, 3, 2});
-    bool died = false;
-    try {
-      auto out = distribution_sort<Record>(ctx, input);
-    } catch (const WorkerDied& e) {
-      died = true;
-      EXPECT_EQ(e.worker(), 3u);
-    }
-    ASSERT_TRUE(died) << "kill hook never fired";
-    ASSERT_GT(journal.owned_blocks(), 0u);
-
-    // Resume under a *different* worker count: the fingerprint and the
-    // journaled extents are W-free, so any W may finish the job.
-    ctx.set_worker_tuning({2});
-    dev.reset_stats();
-    auto out = distribution_sort<Record>(ctx, input);
-    const std::uint64_t resumed_total = dev.stats().total();
-    EXPECT_GE(journal.resumed_passes(), 1u);
-    EXPECT_LT(resumed_total, ref_total);
-    EXPECT_EQ(dump(out), sorted_ref);
-    EXPECT_EQ(journal.owned_blocks(), 0u);
-    ctx.set_checkpoint(nullptr);
+    FileBlockDevice dev(dev_path, kBlockBytes);
+    kill_and_resume(dev, 4, 3, 2, 73, "wg_kill_pool.ckpt");
   }
-  std::remove(jpath.c_str());
   std::remove(dev_path.c_str());
 }
 
 // ---------------------------------------------------------------------------
-// The forked/inline decision itself: every stock device is fork-safe now
-// (the memory device's pages moved to MAP_SHARED arenas), so forking is the
-// default everywhere and inline execution is an explicit opt-out.
+// The two modes, driven directly.
 
-TEST(WorkerGroupMode, ForkRequiresForkSafeDevice) {
-  MemoryBlockDevice mem_dev(kBlockBytes);
-  Context mem_ctx(mem_dev, kMemBlocks * kBlockBytes);
-  mem_ctx.set_worker_tuning({2});
-  ASSERT_TRUE(mem_dev.fork_safe());
-  WorkerGroup mem_group(mem_ctx);
-  // A ThreadSanitizer build runs every group inline (kThreadSanitizer).
-  EXPECT_EQ(mem_group.forked(), !kThreadSanitizer)
-      << "shared-arena memory device no longer forks";
-  EXPECT_EQ(mem_group.workers(), 2u);
-
-  {
-    // The env knob is the only remaining route to the inline path.
-    InlineWorkersGuard inline_workers;
-    WorkerGroup inline_group(mem_ctx);
-    EXPECT_FALSE(inline_group.forked());
-    EXPECT_EQ(inline_group.workers(), 2u);
-  }
-
-  const std::string dev_path = testing::TempDir() + "/wg_mode.dev";
-  std::remove(dev_path.c_str());
-  FileBlockDevice file_dev(dev_path, kBlockBytes);
-  Context file_ctx(file_dev, kMemBlocks * kBlockBytes);
-  file_ctx.set_worker_tuning({2});
-  WorkerGroup forked_group(file_ctx);
-  EXPECT_EQ(forked_group.forked(), !kThreadSanitizer);
-
-  // Checksums no longer force inline: children track their checksum-table
-  // updates (set_sum_tracking) and ship them home in the result frame.
-  file_dev.set_checksums(true);
-  WorkerGroup checksummed_group(file_ctx);
-  EXPECT_EQ(checksummed_group.forked(), !kThreadSanitizer);
-  std::remove(dev_path.c_str());
-}
-
-// workers() == 0 asks for no worker processes.  The group is then one inline
-// lane even on a fork-safe device: a process that holds threads (the server
-// building its index) runs the unit schedule without forking.
+// workers() == 0 asks for no worker lanes.  The group is then one inline
+// lane: the body runs once, on the caller's thread, in the caller's context.
 TEST(WorkerGroupMode, ZeroWorkersIsOneInlineLane) {
   const std::string dev_path = testing::TempDir() + "/wg_zero.dev";
   std::remove(dev_path.c_str());
   FileBlockDevice dev(dev_path, kBlockBytes);
-  ASSERT_TRUE(dev.fork_safe());
   Context ctx(dev, kMemBlocks * kBlockBytes);
   ASSERT_EQ(ctx.workers(), 0u);
   WorkerGroup group(ctx);
   EXPECT_EQ(group.workers(), 1u);
-  EXPECT_FALSE(group.forked());
 
   const BlockRange range = dev.allocate(2);
-  const pid_t parent = ::getpid();
-  std::size_t calls = 0;  // a forked body would bump a child's copy
-  const auto body = [&](Context& wctx,
-                        std::size_t w) -> std::vector<std::byte> {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t calls = 0;
+  std::size_t lane = 99;
+  const auto body = [&](Context& wctx, std::size_t w) {
     ++calls;
+    lane = w;
     EXPECT_EQ(&wctx, &ctx) << "the inline lane runs in the caller's context";
+    EXPECT_EQ(std::this_thread::get_id(), caller);
     BlockDevice& d = wctx.device();
     std::vector<std::byte> blk(d.block_bytes(), std::byte{7});
     d.write(range.first, blk);
     d.write(range.first + 1, blk);
     d.read(range.first, blk);
-    WireWriter wire;
-    wire.u64(w);
-    wire.u64(static_cast<std::uint64_t>(::getpid()));
-    return wire.take();
   };
   const IoStats before = dev.stats();
-  const RoundOutcome out = group.round("zero", body);
+  const std::vector<PassWorkerIo> rows = group.round("zero", body);
   const IoStats delta = dev.stats() - before;
 
   EXPECT_EQ(calls, 1u);
-  ASSERT_EQ(out.payloads.size(), 1u);
-  WireReader rd(out.payloads[0]);
-  EXPECT_EQ(rd.u64(), 0u);
-  EXPECT_EQ(rd.u64(), static_cast<std::uint64_t>(parent));
-  ASSERT_EQ(out.rows.size(), 1u);
-  EXPECT_EQ(out.rows[0].worker, 0u);
-  EXPECT_EQ(out.rows[0].io, delta);
+  EXPECT_EQ(lane, 0u);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].worker, 0u);
+  EXPECT_EQ(rows[0].io, delta);
+  EXPECT_EQ(rows[0].peak_bytes, 0u);
   EXPECT_EQ(delta.reads, 1u);
   EXPECT_EQ(delta.writes, 2u);
-  EXPECT_TRUE(ctx.take_supervision().empty());
   std::remove(dev_path.c_str());
 }
 
-// Forked children's writes must land in the parent's checksum table: after a
-// forked dsort with checksums on, flipping one bit of the *output* must be
-// caught by the next verified read.  (Before the dirty-sum shipping, forked
-// mode either fell back to inline or the parent's table silently lacked
-// every child-written block.)
-TEST(WorkerGroupMode, ForkedChecksumsCoverChildWrites) {
-  const auto host = make_workload(Workload::kUniform, kRecords, 74);
-  const auto sorted_ref = sorted_copy(host);
-
-  const std::string dev_path = testing::TempDir() + "/wg_cksum.dev";
-  std::remove(dev_path.c_str());
-  FileBlockDevice dev(dev_path, kBlockBytes);
-  dev.set_checksums(true);
+// W >= 1: every lane of a round runs at the same time, each on its own
+// thread with a private context (budget M / mem_workers), and the lanes'
+// rows partition the device delta even though the lanes transfer
+// concurrently.
+TEST(WorkerGroupMode, LanesRunConcurrentlyOnPrivateContexts) {
+  constexpr std::size_t kW = 4;
+  MemoryBlockDevice dev(kBlockBytes);
   Context ctx(dev, kMemBlocks * kBlockBytes);
-  ctx.set_worker_tuning({2});
-  {
-    WorkerGroup probe(ctx);
-    ASSERT_EQ(probe.forked(), !kThreadSanitizer)
-        << "checksums must not force inline anymore";
-  }
-  auto input = materialize<Record>(ctx, std::span<const Record>(host));
-  auto out = distribution_sort<Record>(ctx, input);
-  EXPECT_EQ(dump(out), sorted_ref);  // dump() re-reads under verification
+  WorkerTuning wt;
+  wt.workers = kW;
+  wt.mem_workers = 2;
+  ctx.set_worker_tuning(wt);
+  ctx.set_io_tuning({4});
+  WorkerGroup group(ctx);
+  ASSERT_EQ(group.workers(), kW);
 
-  // A block deep inside the output was written by a forked child (the
-  // scatter round); its checksum must be present and live.
-  const BlockId victim = out.extent().first + out.extent().count / 2;
-  dev.corrupt_bit(victim, 3);
-  std::vector<std::byte> buf(kBlockBytes);
-  EXPECT_THROW(dev.read(victim, buf), CorruptBlock)
-      << "child-written block was not covered by the merged checksum table";
-  std::remove(dev_path.c_str());
+  const BlockRange range = dev.allocate(3 * kW);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t arrived = 0;
+  bool all_met = true;
+  std::vector<std::thread::id> threads(kW);
+  std::vector<const Context*> contexts(kW, nullptr);
+  const auto body = [&](Context& wctx, std::size_t w) {
+    threads[w] = std::this_thread::get_id();
+    contexts[w] = &wctx;
+    EXPECT_EQ(wctx.mem_bytes(), ctx.mem_bytes() / 2) << "lane " << w;
+    EXPECT_EQ(wctx.io_tuning().batch_blocks, 4u) << "lane " << w;
+    EXPECT_EQ(wctx.cpu_lanes(), 1u) << "lane " << w;
+    auto res = wctx.budget().reserve(64 * (w + 1));
+    {
+      // A barrier inside the round: it is only passed if all W lanes are
+      // in their bodies at once.
+      std::unique_lock<std::mutex> lk(mu);
+      ++arrived;
+      cv.notify_all();
+      if (!cv.wait_for(lk, std::chrono::seconds(10),
+                       [&] { return arrived == kW; })) {
+        all_met = false;
+      }
+    }
+    BlockDevice& d = wctx.device();
+    std::vector<std::byte> blk(d.block_bytes(),
+                               std::byte{static_cast<unsigned char>(w + 1)});
+    for (std::size_t i = 0; i <= w % 3; ++i) {
+      d.write(range.first + 3 * w + i, blk);
+    }
+    d.read(range.first + 3 * w, blk);
+  };
+  const IoStats before = dev.stats();
+  const std::vector<PassWorkerIo> rows = group.round("lanes", body);
+  const IoStats delta = dev.stats() - before;
+
+  EXPECT_TRUE(all_met) << "the lanes of one round did not run concurrently";
+  ASSERT_EQ(rows.size(), kW);
+  IoStats sum;
+  for (std::size_t w = 0; w < kW; ++w) {
+    EXPECT_EQ(rows[w].worker, w);
+    EXPECT_EQ(rows[w].io.writes, w % 3 + 1) << "lane " << w;
+    EXPECT_EQ(rows[w].io.reads, 1u) << "lane " << w;
+    EXPECT_EQ(rows[w].peak_bytes, 64 * (w + 1)) << "lane " << w;
+    EXPECT_GE(rows[w].barrier_seconds, 0.0);
+    EXPECT_NE(contexts[w], &ctx) << "lane " << w;
+    for (std::size_t v = 0; v < w; ++v) {
+      EXPECT_NE(threads[v], threads[w]) << "lanes " << v << " and " << w;
+    }
+    sum += rows[w].io;
+  }
+  EXPECT_EQ(sum, delta);
+  EXPECT_EQ(ctx.budget().used(), 0u);
 }
 
-// ---------------------------------------------------------------------------
-// The round supervisor, driven directly with custom bodies: failure
-// injection, bounded inline re-execution, worker_retries attribution,
-// structured events, retry exhaustion, and elastic degradation.
+/// A device that forwards every transfer to an inner device, the way a
+/// tracing wrapper does.
+class ForwardingDevice final : public BlockDevice {
+ public:
+  explicit ForwardingDevice(BlockDevice& inner)
+      : BlockDevice(inner.block_bytes()), inner_(inner) {}
 
-/// Coordinator-allocated scratch range plus a body writing two blocks per
-/// worker (and reading one back), so every recovery has real I/O to re-count.
-struct SupervisedRound {
-  BlockRange range;
-
-  explicit SupervisedRound(BlockDevice& dev) : range(dev.allocate(8)) {}
-
-  [[nodiscard]] WorkerGroup::RoundBody body() const {
-    const BlockRange r = range;
-    return [r](Context& wctx, std::size_t w) -> std::vector<std::byte> {
-      BlockDevice& d = wctx.device();
-      std::vector<std::byte> blk(d.block_bytes(),
-                                 std::byte{static_cast<unsigned char>(w + 1)});
-      d.write(r.first + 2 * w, blk);
-      d.write(r.first + 2 * w + 1, blk);
-      d.read(r.first + 2 * w, blk);
-      WireWriter wire;
-      wire.u64(w);
-      return wire.take();
-    };
+ protected:
+  void do_read(BlockId block, std::span<std::byte> out) override {
+    inner_.read(block, out);
+  }
+  void do_write(BlockId block, std::span<const std::byte> in) override {
+    inner_.write(block, in);
+  }
+  void do_read_blocks(BlockId first, std::uint64_t count,
+                      std::span<std::byte> out) override {
+    inner_.read_blocks(first, count, out);
+  }
+  void do_write_blocks(BlockId first, std::uint64_t count,
+                       std::span<const std::byte> in) override {
+    inner_.write_blocks(first, count, in);
+  }
+  void do_grow(std::uint64_t new_size_blocks) override {
+    (void)inner_.allocate(new_size_blocks - inner_.size_blocks());
   }
 
-  void check(BlockDevice& dev, const RoundOutcome& out, std::size_t W) const {
-    ASSERT_EQ(out.payloads.size(), W);
-    ASSERT_EQ(out.rows.size(), W);
-    std::vector<std::byte> blk(dev.block_bytes());
-    for (std::size_t w = 0; w < W; ++w) {
-      WireReader rd(out.payloads[w]);
-      EXPECT_EQ(rd.u64(), w) << "payload of worker " << w;
-      dev.read(range.first + 2 * w, blk);
-      EXPECT_EQ(std::to_integer<unsigned>(blk[0]), w + 1) << "worker " << w;
-    }
-  }
+ private:
+  BlockDevice& inner_;
 };
 
-std::vector<std::string> kinds_of(const std::vector<SupervisionEvent>& evs) {
-  std::vector<std::string> v;
-  v.reserve(evs.size());
-  for (const SupervisionEvent& e : evs) v.push_back(e.kind);
-  return v;
-}
-
-TEST(WorkerSupervision, InlineCrashRecoversWithAttributedRetries) {
-  InlineWorkersGuard inline_workers;
-  MemoryBlockDevice dev(kBlockBytes);
+// A lane's row counts the blocks it moved through its context's device once,
+// even when that device forwards each transfer to another device.
+TEST(WorkerGroupMode, LaneRowsCountForwardedTransfersOnce) {
+  MemoryBlockDevice inner(kBlockBytes);
+  ForwardingDevice dev(inner);
   Context ctx(dev, kMemBlocks * kBlockBytes);
-  WorkerTuning wt;
-  wt.workers = 2;
-  wt.kill_worker = 1;
-  wt.kill_round = 1;
-  wt.max_worker_retries = 2;
-  ctx.set_worker_tuning(wt);
+  ctx.set_worker_tuning({2});
   WorkerGroup group(ctx);
-  ASSERT_FALSE(group.forked());
-
-  SupervisedRound round(dev);
-  dev.reset_stats();
-  RoundOutcome out = group.round("sup", round.body());
-  const IoStats io = dev.stats();  // before check()'s verification reads
-  round.check(dev, out, 2);
-
-  // The injected failure cost one re-execution: worker 1's row carries its
-  // re-executed volume (2 writes + 1 read) as worker_retries, matching the
-  // device-level counter, and base counts equal the fault-free schedule.
-  EXPECT_EQ(io.reads, 2u);
-  EXPECT_EQ(io.writes, 4u);
-  EXPECT_EQ(io.worker_retries, 3u);
-  EXPECT_EQ(out.rows[0].io.worker_retries, 0u);
-  EXPECT_EQ(out.rows[1].io.worker_retries, 3u);
-  EXPECT_EQ(out.rows[1].io.reads, 1u);
-  EXPECT_EQ(out.rows[1].io.writes, 2u);
-
-  const auto events = ctx.take_supervision();
-  EXPECT_EQ(kinds_of(events), (std::vector<std::string>{"death", "retry"}));
-  EXPECT_EQ(events[0].round, 1u);
-  EXPECT_EQ(events[0].worker, 1u);
-}
-
-TEST(WorkerSupervision, RetriesExhaustIntoWorkerDied) {
-  InlineWorkersGuard inline_workers;  // a throwing body needs inline units
-  MemoryBlockDevice dev(kBlockBytes);
-  Context ctx(dev, kMemBlocks * kBlockBytes);
-  WorkerTuning wt;
-  wt.workers = 2;
-  wt.kill_worker = 1;
-  wt.kill_round = 1;
-  wt.max_worker_retries = 2;
-  ctx.set_worker_tuning(wt);
-  WorkerGroup group(ctx);
-
-  const auto body = [](Context&, std::size_t w) -> std::vector<std::byte> {
-    if (w == 1) throw std::runtime_error("unit is cursed");
-    return {};
+  const BlockRange range = dev.allocate(8);
+  const auto body = [&](Context& wctx, std::size_t w) {
+    std::vector<std::byte> blks(4 * wctx.block_bytes(), std::byte{3});
+    wctx.device().write_blocks(range.first + 4 * w, 4, blks);
+    wctx.device().read(range.first + 4 * w, std::span(blks).first(16));
   };
-  bool died = false;
+  const IoStats before = dev.stats();
+  const std::vector<PassWorkerIo> rows = group.round("fwd", body);
+  IoStats sum = rows[0].io;
+  sum += rows[1].io;
+  EXPECT_EQ(sum, dev.stats() - before);
+  EXPECT_EQ(rows[1].io.writes, 4u);
+  EXPECT_EQ(rows[1].io.reads, 1u);
+}
+
+// A failing round waits for every lane, then rethrows the exception of the
+// lowest-numbered lane that threw; the kill hook is one such exception.
+TEST(WorkerGroupMode, FailureRethrowsTheLowestLaneAfterTheBarrier) {
+  constexpr std::size_t kW = 4;
+  MemoryBlockDevice dev(kBlockBytes);
+  Context ctx(dev, kMemBlocks * kBlockBytes);
+  ctx.set_worker_tuning({kW});
+  WorkerGroup group(ctx);
+
+  const BlockRange range = dev.allocate(kW);
+  std::vector<int> ran(kW, 0);
+  const auto body = [&](Context& wctx, std::size_t w) {
+    std::vector<std::byte> blk(wctx.block_bytes(), std::byte{1});
+    wctx.device().write(range.first + w, blk);
+    ran[w] = 1;
+    if (w == 1 || w == 3) {
+      throw std::runtime_error("lane " + std::to_string(w) + " failed");
+    }
+  };
+  dev.reset_stats();
   try {
-    (void)group.round("sup", body);
+    (void)group.round("fail", body);
+    FAIL() << "the failed round returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "lane 1 failed");
+  }
+  EXPECT_EQ(ran, std::vector<int>(kW, 1)) << "a lane was skipped";
+  EXPECT_EQ(dev.stats().writes, kW) << "every lane's blocks moved and count";
+
+  // Round 2 kills lane 2 before its body runs.
+  ctx.set_worker_tuning({kW, 2, 2});
+  std::fill(ran.begin(), ran.end(), 0);
+  const auto quiet = [&](Context&, std::size_t w) { ran[w] = 1; };
+  try {
+    (void)group.round("kill", quiet);
+    FAIL() << "the kill hook never fired";
   } catch (const WorkerDied& e) {
-    died = true;
-    EXPECT_EQ(e.worker(), 1u);
-    EXPECT_NE(std::string(e.what()).find("cursed"), std::string::npos);
+    EXPECT_EQ(e.worker(), 2u);
+    EXPECT_NE(std::string(e.what()).find("round 2"), std::string::npos);
   }
-  ASSERT_TRUE(died);
-  EXPECT_EQ(kinds_of(ctx.take_supervision()),
-            (std::vector<std::string>{"death", "retry", "retry", "give-up"}));
+  EXPECT_EQ(ran, (std::vector<int>{1, 1, 0, 1}));
 }
 
-enum class Fault { kKill, kHang, kCorrupt };
-
-class ForkedSupervision : public ::testing::TestWithParam<Fault> {};
-
-TEST_P(ForkedSupervision, RecoversWithIdenticalBaseIo) {
-  const Fault fault = GetParam();
-  const std::string dev_path = testing::TempDir() + "/wg_sup_forked.dev";
-
-  // Fault-free reference round for the base-I/O comparison.
-  IoStats ref;
-  {
+// Checksums under concurrent lanes: a W = 4 dsort on a FileBlockDevice with
+// checksums on.  The shared table covers every lane's writes, a journaled
+// run killed mid-job reopens (device file, sidecar and journal) and resumes
+// verified, and a bit flipped after the run raises CorruptBlock.
+TEST(WorkerGroupMode, ConcurrentLanesChecksumsCoverEveryWrite) {
+  const auto host = make_workload(Workload::kUniform, kRecords, 74);
+  const auto sorted_ref = sorted_copy(host);
+  const std::string dev_path = testing::TempDir() + "/wg_cksum.dev";
+  const std::string jpath = testing::TempDir() + "/wg_cksum.ckpt";
+  const auto clean = [&] {
     std::remove(dev_path.c_str());
-    FileBlockDevice dev(dev_path, kBlockBytes);
-    Context ctx(dev, kMemBlocks * kBlockBytes);
-    ctx.set_worker_tuning({2});
-    WorkerGroup group(ctx);
-    ASSERT_EQ(group.forked(), !kThreadSanitizer);
-    SupervisedRound round(dev);
-    dev.reset_stats();
-    RoundOutcome out = group.round("sup", round.body());
-    round.check(dev, out, 2);
-    ref = dev.stats();
-    EXPECT_EQ(ref.worker_retries, 0u);
-  }
-
-  std::remove(dev_path.c_str());
-  FileBlockDevice dev(dev_path, kBlockBytes);
-  Context ctx(dev, kMemBlocks * kBlockBytes);
-  WorkerTuning wt;
-  wt.workers = 2;
-  wt.max_worker_retries = 2;
-  const char* expected_kind = nullptr;
-  switch (fault) {
-    case Fault::kKill:
-      wt.kill_worker = 1;
-      wt.kill_round = 1;
-      expected_kind = "death";
-      break;
-    case Fault::kHang:
-      wt.hang_worker = 1;
-      wt.hang_round = 1;
-      wt.worker_timeout = 1.0;
-      expected_kind = "timeout";
-      break;
-    case Fault::kCorrupt:
-      wt.corrupt_worker = 1;
-      wt.corrupt_round = 1;
-      expected_kind = "corrupt-frame";
-      break;
-  }
-  ctx.set_worker_tuning(wt);
-  WorkerGroup group(ctx);
-  ASSERT_EQ(group.forked(), !kThreadSanitizer);
-
-  SupervisedRound round(dev);
-  dev.reset_stats();
-  RoundOutcome out = group.round("sup", round.body());
-  round.check(dev, out, 2);
-
-  // Base logical I/O identical to the fault-free round; the re-executed
-  // volume reported separately.
-  const IoStats io = dev.stats();
-  EXPECT_EQ(io.base(), ref.base());
-  EXPECT_EQ(io.worker_retries, 3u);
-  EXPECT_EQ(out.rows[1].io.worker_retries, 3u);
-
-  const auto events = ctx.take_supervision();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].kind, expected_kind);
-  EXPECT_EQ(events[0].round, 1u);
-  EXPECT_EQ(events[0].worker, 1u);
-  EXPECT_EQ(events[1].kind, "retry");
-  std::remove(dev_path.c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(Faults, ForkedSupervision,
-                         ::testing::Values(Fault::kKill, Fault::kHang,
-                                           Fault::kCorrupt),
-                         [](const auto& fault_info) {
-                           switch (fault_info.param) {
-                             case Fault::kKill: return "Kill";
-                             case Fault::kHang: return "Hang";
-                             default: return "Corrupt";
-                           }
-                         });
-
-TEST(WorkerSupervision, DegradationHalvesWidthBetweenRounds) {
-  MemoryBlockDevice dev(kBlockBytes);
-  Context ctx(dev, kMemBlocks * kBlockBytes);
-  WorkerTuning wt;
-  wt.workers = 4;
-  wt.kill_worker = 0;
-  wt.kill_round = 1;
-  wt.max_worker_retries = 1;
-  wt.degrade_after = 1;
-  ctx.set_worker_tuning(wt);
-  WorkerGroup group(ctx);
-  ASSERT_EQ(group.workers(), 4u);
-
-  const auto body = [](Context&, std::size_t w) -> std::vector<std::byte> {
-    WireWriter wire;
-    wire.u64(w);
-    return wire.take();
+    std::remove((dev_path + ".sums").c_str());
+    std::remove(jpath.c_str());
   };
-  // Round 1 runs at the full width (degradation only applies *between*
-  // rounds -- the caller captured workers() when it built the body).
-  RoundOutcome r1 = group.round("sup", body);
-  EXPECT_EQ(r1.rows.size(), 4u);
-  EXPECT_EQ(group.workers(), 2u) << "width must halve after the failure";
+  clean();
 
-  RoundOutcome r2 = group.round("sup", body);
-  EXPECT_EQ(r2.rows.size(), 2u);
-  EXPECT_EQ(group.workers(), 2u) << "no further failures, no further halving";
+  {
+    // Killed at round 2: the formation round's runs — written by four
+    // lanes at once — are journaled, the select round never finished.
+    FileBlockDevice dev(dev_path, kBlockBytes, /*keep_file=*/true,
+                        /*preserve_contents=*/true);
+    dev.set_checksums(true);
+    Context ctx(dev, kMemBlocks * kBlockBytes);
+    CheckpointJournal journal(dev, jpath);
+    journal.restore_device();
+    ctx.set_checkpoint(&journal);
+    ctx.set_worker_tuning({4, 1, 2});
+    auto input = materialize<Record>(ctx, std::span<const Record>(host));
+    EXPECT_THROW((void)distribution_sort<Record>(ctx, input), WorkerDied);
+    ASSERT_GT(journal.owned_blocks(), 0u);
+    ctx.set_checkpoint(nullptr);
+  }
+  {
+    FileBlockDevice dev(dev_path, kBlockBytes, /*keep_file=*/true,
+                        /*preserve_contents=*/true);
+    dev.set_checksums(true);
+    Context ctx(dev, kMemBlocks * kBlockBytes);
+    CheckpointJournal journal(dev, jpath);
+    journal.restore_device();
+    // The reloaded table covers exactly the blocks of the journaled runs
+    // (restore_device drops the rest).
+    const std::uint64_t run_blocks = (kRecords * sizeof(Record) +
+                                      kBlockBytes - 1) / kBlockBytes;
+    EXPECT_EQ(dev.export_sums().size(), run_blocks)
+        << "the sidecar lacks blocks the lanes wrote";
+    ctx.set_checkpoint(&journal);
+    ctx.set_worker_tuning({4});
+    auto input = materialize<Record>(ctx, std::span<const Record>(host));
+    auto out = distribution_sort<Record>(ctx, input);
+    EXPECT_GE(journal.resumed_passes(), 1u);
+    EXPECT_EQ(dump(out), sorted_ref);  // dump() re-reads under verification
+    ctx.set_checkpoint(nullptr);
 
-  const auto events = ctx.take_supervision();
-  EXPECT_EQ(kinds_of(events),
-            (std::vector<std::string>{"death", "retry", "degrade"}));
-  EXPECT_EQ(events[2].worker, 2u);  // the new width rides in the event
+    // Every output block — interior blocks written by the lanes, edge blocks
+    // by the coordinator's stitch — has a live checksum.
+    const std::vector<SumEntry> after = dev.export_sums();
+    const BlockRange ext = out.extent();
+    std::uint64_t covered = 0;
+    for (const SumEntry& e : after) {
+      if (e.block >= ext.first && e.block < ext.first + ext.count) ++covered;
+    }
+    EXPECT_EQ(covered, ext.count);
+    const BlockId victim = ext.first + ext.count / 2;
+    dev.corrupt_bit(victim, 3);
+    std::vector<std::byte> buf(kBlockBytes);
+    EXPECT_THROW(dev.read(victim, buf), CorruptBlock)
+        << "a lane-written block was not covered by the checksum table";
+  }
+  clean();
 }
 
 // ---------------------------------------------------------------------------
-// Worker-aware memory partitioning: with mem_workers = K every distributed
-// worker plans against and is budgeted M / K, so the reported per-worker
-// budget peaks are bounded by M / K and any W <= K keeps the sum under M --
-// while W itself stays bit-identical at fixed K.
+// Worker-aware memory partitioning: with mem_workers = K every lane plans
+// against and is budgeted M / K, so the reported per-lane budget peaks are
+// bounded by M / K and any W <= K keeps the sum under M -- while W itself
+// stays bit-identical at fixed K.
 
-TEST(WorkerSupervision, MemWorkersBoundsChildPeaksAndStaysWInvariant) {
-  // 4x the matrix memory so the quartered per-worker plan still satisfies
+TEST(WorkerGroupMode, MemWorkersBoundsLanePeaksAndStaysWInvariant) {
+  // 4x the matrix memory so the quartered per-lane plan still satisfies
   // dist_supported (the coordinator's planning tables budget against full M).
   const std::size_t mem_bytes = 4 * kMemBlocks * kBlockBytes;
   const auto host = make_workload(Workload::kUniform, kRecords, 75);
@@ -738,21 +601,19 @@ TEST(WorkerSupervision, MemWorkersBoundsChildPeaksAndStaysWInvariant) {
     leg.bytes = dump(out);
     ASSERT_EQ(leg.bytes, sorted_ref) << "W=" << W;
 
-    // Every forked worker's reported budget peak obeys the M/K partition.
+    // Every lane's reported budget peak obeys the M/K partition.
     const std::size_t share =
         std::max(mem_bytes / 4, 2 * ctx.block_bytes());
     std::size_t peaks_seen = 0;
     for (const PassTrace& row : trace.rows()) {
       for (const PassWorkerIo& wio : row.worker_io) {
-        if (wio.peak_bytes == 0) continue;  // inline / recovered rows
+        if (wio.peak_bytes == 0) continue;
         ++peaks_seen;
         EXPECT_LE(wio.peak_bytes, share)
-            << row.pass << " worker " << wio.worker;
+            << row.pass << " lane " << wio.worker;
       }
     }
-    if (!kThreadSanitizer) {  // inline rows under TSan report no peak
-      EXPECT_GT(peaks_seen, 0u) << "no forked worker reported a budget peak";
-    }
+    EXPECT_GT(peaks_seen, 0u) << "no lane reported a budget peak";
 
     ctx.set_pass_trace(nullptr);
     std::remove(path.c_str());

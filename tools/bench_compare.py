@@ -9,7 +9,7 @@ performing the *same* number of I/Os.  Rows whose I/O counts differ are a
 geometry change, not a perf regression — they are reported and skipped, as
 are rows present in only one entry.
 
-With --workers the tool gates the multi-process legs of the latest entry:
+With --workers the tool gates the worker-lane legs of the latest entry:
 for every op with workersN rows, all of them must report identical logical
 I/O counts AND identical output checksums (W is geometry, never output —
 both are hard failures at any threshold), and each workersN row's
@@ -17,27 +17,8 @@ wall-clock must stay within --threshold of the same op's workers1 row (on
 a single-core host the distributed path cannot win wall-clock; the gate
 only forbids it costing more than coordination overhead should).
 
-With --supervision the tool gates the supervised legs of the latest entry:
-every "<mode>+sup" row (the round supervisor armed — poll-driven drain,
-frame checksums, retry budget — with zero faults injected) must match its
-unsupervised "<mode>" sibling's logical I/O count and output checksum
-exactly, report worker_retries = 0 (nothing was re-executed), and stay
-within --threshold of the sibling's wall-clock: supervision at zero faults
-is pure bookkeeping, never a tax.
-
-With --service the tool gates the resident-server legs of the latest entry
-(op == "service"): every leg answers the same fixed query mix, so all legs
-must report identical per-query I/O sums and identical answer checksums
-(clients and pipelining are load, never output — hard failures at any
-threshold), no leg may shed a query or fail a check (shed == 0, ok true),
-and every leg's wall-clock must stay within --threshold of the
-single-client baseline (clients == 1, no pipelined batch; on a single-core
-host concurrency cannot win, the gate only forbids contention costing more
-than scheduling overhead should).
-
 Usage:
     tools/bench_compare.py [FILE] [--threshold=0.10] [--workers]
-                           [--supervision] [--service]
 
 Exit status: 0 = no regression (including "fewer than two entries"),
 1 = at least one regression, 2 = bad input.
@@ -120,141 +101,15 @@ def workers_gate(entries, threshold):
     return 0
 
 
-def supervision_gate(entries, threshold):
-    """Gate the latest entry's supervised legs (see module docstring)."""
-    new = entries[-1]
-    rows = new.get("rows", [])
-    print(f"bench_compare: supervision gate on '{new.get('label', '?')}' "
-          f"(threshold {threshold:.0%})")
-
-    failures = 0
-
-    def fail(msg):
-        nonlocal failures
-        failures += 1
-        print(f"  FAIL {msg}", file=sys.stderr)
-
-    checked = 0
-    for r in rows:
-        mode = str(r.get("mode", ""))
-        if not mode.endswith("+sup"):
-            continue
-        op = r.get("op", "?")
-        base_mode = mode[:-len("+sup")]
-        base = next((b for b in rows
-                     if b.get("op") == op and b.get("mode") == base_mode),
-                    None)
-        if base is None:
-            fail(f"{op}/{mode}: no unsupervised '{base_mode}' sibling")
-            continue
-        checked += 1
-        # Hard gates: supervision is bookkeeping, never geometry or output.
-        if r.get("ios") != base.get("ios"):
-            fail(f"{op}/{mode}: ios {r.get('ios')} != {base_mode} "
-                 f"ios {base.get('ios')}")
-        if r.get("checksum") != base.get("checksum"):
-            fail(f"{op}/{mode}: checksum diverged from {base_mode}")
-        if r.get("worker_retries", 0) != 0:
-            fail(f"{op}/{mode}: worker_retries="
-                 f"{r.get('worker_retries')} with no faults injected")
-        bs, ns = float(base.get("seconds", 0)), float(r.get("seconds", 0))
-        if bs > 0 and ns > bs * (1.0 + threshold):
-            fail(f"{op}/{mode}: {ns:.3f}s exceeds {base_mode} "
-                 f"{bs:.3f}s by more than {threshold:.0%}")
-        else:
-            print(f"    ok {op}/{mode}: {ns:.3f}s vs {base_mode} "
-                  f"{bs:.3f}s at equal ios, worker_retries=0")
-
-    if checked == 0:
-        print("bench_compare: no +sup rows in the latest entry",
-              file=sys.stderr)
-        return 1
-    if failures:
-        print(f"bench_compare: supervision gate failed "
-              f"({failures} check(s))", file=sys.stderr)
-        return 1
-    print(f"bench_compare: supervision gate passed ({checked} row(s))")
-    return 0
-
-
-def service_gate(entries, threshold):
-    """Gate the latest entry's service legs (see module docstring)."""
-    new = entries[-1]
-    rows = [r for r in new.get("rows", []) if r.get("op") == "service"]
-    print(f"bench_compare: service gate on '{new.get('label', '?')}' "
-          f"(threshold {threshold:.0%})")
-
-    failures = 0
-
-    def fail(msg):
-        nonlocal failures
-        failures += 1
-        print(f"  FAIL {msg}", file=sys.stderr)
-
-    if not rows:
-        print("bench_compare: no service rows in the latest entry",
-              file=sys.stderr)
-        return 1
-
-    base = next((r for r in rows
-                 if r.get("clients") == 1 and r.get("batch", 0) == 0), None)
-    if base is None:
-        fail("no single-client baseline leg")
-        base = rows[0]
-    bs = float(base.get("seconds", 0))
-
-    checked = 0
-    for r in rows:
-        mode = r.get("mode", "?")
-        checked += 1
-        # Hard gates: every leg answers the same mix with the same reads
-        # and the same bytes, and serves all of it.
-        if r.get("ios") != base.get("ios"):
-            fail(f"service/{mode}: ios {r.get('ios')} != baseline "
-                 f"ios {base.get('ios')}")
-        if r.get("checksum") != base.get("checksum"):
-            fail(f"service/{mode}: answer checksum diverged from baseline")
-        if r.get("shed", 0) != 0:
-            fail(f"service/{mode}: shed {r.get('shed')} query(ies)")
-        if not r.get("ok", False):
-            fail(f"service/{mode}: in-binary check failed (ok false)")
-        if r is base:
-            print(f"    ok service/{mode}: baseline {bs:.3f}s "
-                  f"({float(r.get('qps', 0)):.0f} qps, "
-                  f"p99 {1e3 * float(r.get('p99_seconds', 0)):.3f}ms)")
-            continue
-        ns = float(r.get("seconds", 0))
-        if bs > 0 and ns > bs * (1.0 + threshold):
-            fail(f"service/{mode}: {ns:.3f}s exceeds baseline "
-                 f"{bs:.3f}s by more than {threshold:.0%}")
-        else:
-            print(f"    ok service/{mode}: {ns:.3f}s vs baseline {bs:.3f}s "
-                  f"({float(r.get('qps', 0)):.0f} qps, "
-                  f"p99 {1e3 * float(r.get('p99_seconds', 0)):.3f}ms)")
-
-    if failures:
-        print(f"bench_compare: service gate failed ({failures} check(s))",
-              file=sys.stderr)
-        return 1
-    print(f"bench_compare: service gate passed ({checked} row(s))")
-    return 0
-
-
 def main(argv):
     path = "BENCH_wallclock.json"
     threshold = 0.10
     workers = False
-    supervision = False
-    service = False
     for arg in argv[1:]:
         if arg.startswith("--threshold="):
             threshold = float(arg.split("=", 1)[1])
         elif arg == "--workers":
             workers = True
-        elif arg == "--supervision":
-            supervision = True
-        elif arg == "--service":
-            service = True
         elif arg in ("-h", "--help"):
             print(__doc__)
             return 0
@@ -270,18 +125,11 @@ def main(argv):
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
         return 2
 
-    if workers or supervision or service:
+    if workers:
         if not entries:
             print(f"bench_compare: no entries in {path}", file=sys.stderr)
             return 2
-        rc = 0
-        if workers:
-            rc = workers_gate(entries, threshold) or rc
-        if supervision:
-            rc = supervision_gate(entries, threshold) or rc
-        if service:
-            rc = service_gate(entries, threshold) or rc
-        return rc
+        return workers_gate(entries, threshold)
 
     if len(entries) < 2:
         print(f"bench_compare: {len(entries)} entr{'y' if len(entries) == 1 else 'ies'} "

@@ -45,13 +45,6 @@ Machine make_machine(const Options& opt) {
   wt.workers = opt.workers;
   wt.kill_worker = opt.kill_worker;
   wt.kill_round = opt.kill_round;
-  wt.hang_worker = opt.hang_worker;
-  wt.hang_round = opt.hang_round;
-  wt.corrupt_worker = opt.corrupt_worker;
-  wt.corrupt_round = opt.corrupt_round;
-  wt.max_worker_retries = opt.max_worker_retries;
-  wt.worker_timeout = opt.worker_timeout;
-  wt.degrade_after = opt.degrade_after;
   wt.mem_workers = opt.mem_workers;
   m.ctx->set_worker_tuning(wt);
   FaultPolicy policy;
@@ -81,9 +74,7 @@ Machine make_machine(const Options& opt) {
                "usage: emsplit [--block-bytes=N] [--mem-bytes=N]"
                " [--threads=N] [--sort-shards=N]\n"
                "               [--workers=W] [--kill-worker=W:R]"
-               " [--hang-worker=W:R] [--corrupt-frame=W:R]\n"
-               "               [--max-worker-retries=N] [--worker-timeout=S]"
-               " [--degrade-after=N] [--mem-workers=N]\n"
+               " [--mem-workers=N]\n"
                "               [--backend=mem|file] [--batch-blocks=N]\n"
                "               [--trace=FILE] [--fault-policy=R[:BACKOFF_US]]"
                " [--checksums=on|off]\n"
@@ -170,9 +161,6 @@ void print_cost(const Context& ctx, std::size_t n) {
   if (io.retries > 0) {
     std::printf(" + %" PRIu64 " transient retries", io.retries);
   }
-  if (io.worker_retries > 0) {
-    std::printf(" + %" PRIu64 " re-executed worker I/Os", io.worker_retries);
-  }
   const CheckpointJournal* journal = ctx.checkpoint();
   if (journal != nullptr && journal->resumed_passes() > 0) {
     std::printf(" (resumed %" PRIu64 " journaled passes)",
@@ -215,35 +203,6 @@ int parse_global_options(int argc, char** argv, Options& opt) {
       opt.kill_round =
           parse_u64(spec.substr(colon + 1).c_str(), "kill-worker round");
       if (opt.kill_round == 0) usage("--kill-worker round is 1-based");
-    } else if (arg.rfind("--hang-worker=", 0) == 0) {
-      const std::string spec = arg.substr(14);
-      const std::size_t colon = spec.find(':');
-      if (colon == std::string::npos) usage("--hang-worker takes W:R");
-      opt.hang_worker = static_cast<std::size_t>(
-          parse_u64(spec.substr(0, colon).c_str(), "hang-worker worker"));
-      opt.hang_round =
-          parse_u64(spec.substr(colon + 1).c_str(), "hang-worker round");
-      if (opt.hang_round == 0) usage("--hang-worker round is 1-based");
-    } else if (arg.rfind("--corrupt-frame=", 0) == 0) {
-      const std::string spec = arg.substr(16);
-      const std::size_t colon = spec.find(':');
-      if (colon == std::string::npos) usage("--corrupt-frame takes W:R");
-      opt.corrupt_worker = static_cast<std::size_t>(
-          parse_u64(spec.substr(0, colon).c_str(), "corrupt-frame worker"));
-      opt.corrupt_round =
-          parse_u64(spec.substr(colon + 1).c_str(), "corrupt-frame round");
-      if (opt.corrupt_round == 0) usage("--corrupt-frame round is 1-based");
-    } else if (arg.rfind("--max-worker-retries=", 0) == 0) {
-      opt.max_worker_retries =
-          parse_u64(arg.c_str() + 21, "max-worker-retries");
-    } else if (arg.rfind("--worker-timeout=", 0) == 0) {
-      char* end = nullptr;
-      opt.worker_timeout = std::strtod(arg.c_str() + 17, &end);
-      if (end == arg.c_str() + 17 || *end != '\0' || opt.worker_timeout < 0) {
-        usage("--worker-timeout takes seconds >= 0");
-      }
-    } else if (arg.rfind("--degrade-after=", 0) == 0) {
-      opt.degrade_after = parse_u64(arg.c_str() + 16, "degrade-after");
     } else if (arg.rfind("--mem-workers=", 0) == 0) {
       opt.mem_workers = static_cast<std::size_t>(
           parse_u64(arg.c_str() + 14, "mem-workers"));

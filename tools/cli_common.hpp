@@ -31,13 +31,6 @@ struct Options {
   std::size_t workers = 0;
   std::size_t kill_worker = 0;
   std::uint64_t kill_round = 0;
-  std::size_t hang_worker = 0;
-  std::uint64_t hang_round = 0;
-  std::size_t corrupt_worker = 0;
-  std::uint64_t corrupt_round = 0;
-  std::uint64_t max_worker_retries = 0;
-  double worker_timeout = 0.0;
-  std::uint64_t degrade_after = 0;
   std::size_t mem_workers = 1;
   std::size_t batch_blocks = 1;
   std::string trace_path;

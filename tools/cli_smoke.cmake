@@ -62,6 +62,26 @@ foreach(pair backend:uring shards:2 stripe-blocks:8)
 endforeach()
 run(--sort-shards=2 sort data.bin sorted2.bin)
 
+# Removed worker-supervision options are refused with a usage error, and the
+# usage text no longer lists them; --kill-worker (the lane kill hook) and
+# --mem-workers are unaffected.
+foreach(pair hang-worker:1:2 corrupt-frame:1:2 max-worker-retries:2
+        worker-timeout:8 degrade-after:1)
+  string(REGEX REPLACE "^([a-z-]+):" "--\\1=" opt "${pair}")
+  execute_process(COMMAND ${CLI} ${opt} info data.bin
+    WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc
+    OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "usage: emsplit")
+    message(FATAL_ERROR "${opt}: want a usage error (exit 2), got (${rc}):\n${err}")
+  endif()
+  string(REGEX MATCH "--[a-z-]+" flag "${opt}")
+  string(FIND "${err}" "[${flag}=" listed)
+  if(NOT listed EQUAL -1)
+    message(FATAL_ERROR "usage text still lists ${flag}:\n${err}")
+  endif()
+endforeach()
+run(--mem-workers=2 --kill-worker=0:99 info data.bin)
+
 # Corruption on resume: a checksummed run killed mid-job keeps its device
 # file and checksum sidecar; a byte flipped in the device while no process
 # runs must fail the resume with a checksum mismatch, not yield wrong output.

@@ -6,10 +6,16 @@ em/pass_engine.cpp).  This tool lays the passes out as a timeline — one row
 per pass with a proportional span bar — plus the columns that explain where
 the cost went: logical I/Os and the pass's in-memory high-water mark.
 Distributed passes (run under --workers=W) additionally
-list one indented sub-row per worker: its share of the pass's I/O, its busy
-seconds, and how long it waited at the closing barrier for the slowest
+list one indented sub-row per worker lane: its share of the pass's I/O, its
+busy seconds, and how long it waited at the closing barrier for the slowest
 peer.  Traces written before the worker layer existed simply lack the
 "workers" key and render exactly as before.
+
+A pass that ran inside another (the splitter passes inside a multi-partition
+inside a distribution sort) carries its enclosing row's index in "parent";
+its I/O and time are already part of that row's, so the totals and the
+timeline count root rows (parent -1, or no "parent" key in older traces)
+only.  Nested rows print indented under a "+" marker.
 
 The splitter service appends QueryTrace rows to the same file (see
 query_trace_json in service/splitter_index.cpp); they lead with a "query"
@@ -133,8 +139,19 @@ def render_epochs(rows, out=sys.stdout):
               f"{bhit:>6} {queue:>8.3f}", file=out)
 
 
+def label_of(r):
+    # Pass labels usually embed the job prefix already ("dsort/partition"
+    # under job "dsort"); only prepend when they don't.
+    job, label = r.get("job", "?"), r.get("pass", "?")
+    return label if label.startswith(job) else f"{job}/{label}"
+
+
+def is_root(r):
+    return int(r.get("parent", -1)) < 0
+
+
 def render(rows, width, out=sys.stdout):
-    timed = [r for r in rows if not r.get("resumed", False)]
+    timed = [r for r in rows if not r.get("resumed", False) and is_root(r)]
     total = sum(float(r.get("seconds", 0)) for r in timed)
     total_io = sum(int(r.get("reads", 0)) + int(r.get("writes", 0))
                    for r in timed)
@@ -145,10 +162,7 @@ def render(rows, width, out=sys.stdout):
     print(header, file=out)
     start = 0.0
     for r in rows:
-        # Pass labels usually embed the job prefix already ("dsort/partition"
-        # under job "dsort"); only prepend when they don't.
-        job, label = r.get("job", "?"), r.get("pass", "?")
-        name = label if label.startswith(job) else f"{job}/{label}"
+        name = label_of(r)
         if len(name) > 28:
             name = name[:27] + "…"
         if r.get("resumed", False):
@@ -157,6 +171,14 @@ def render(rows, width, out=sys.stdout):
                   f"[resumed from checkpoint]", file=out)
             continue
         secs = float(r.get("seconds", 0))
+        if not is_root(r):
+            # Nested: inside its parent's span, which ends (and prints) later.
+            print(f"   + {name:<28} "
+                  f"{int(r.get('reads', 0)):>9} {int(r.get('writes', 0)):>9} "
+                  f"{human_bytes(int(r.get('hwm_bytes', 0))):>9} "
+                  f"{secs:>8.3f}  (inside {label_of(rows[int(r['parent'])])})",
+                  file=out)
+            continue
         bar = span_bar(start, secs, total, width)
         print(f"  {r.get('index', 0):>2} {name:<28} "
               f"{int(r.get('reads', 0)):>9} {int(r.get('writes', 0)):>9} "
@@ -173,7 +195,11 @@ def render(rows, width, out=sys.stdout):
         start += secs
 
     workers = max((len(r.get("workers", [])) for r in rows), default=0)
-    tail = f"  {len(rows)} pass(es), {total_io} logical I/Os, {total:.3f}s"
+    tail = (f"  {len(rows)} pass(es), {total_io} logical I/Os, "
+            f"{total:.3f}s")
+    nested = sum(1 for r in rows if not is_root(r))
+    if nested:
+        tail += f" ({nested} nested pass(es) counted in their parents)"
     if workers:
         tail += f", {workers} worker(s)"
     resumed = sum(1 for r in rows if r.get("resumed", False))
