@@ -14,8 +14,8 @@
 // stdout and to BENCH_wallclock.json for trajectory tracking.  The tunings
 // keep the merge fan-in above the run count, so both modes perform
 // identical I/O totals and the speedup is purely per-call overhead.  The
-// batched+tN legs add CPU threads: logical I/Os and checksums must not move,
-// and each trajectory row carries the per-pass trace from its final rep.
+// workersN legs add lanes: logical I/Os and checksums must not move, and
+// each trajectory row carries the per-pass trace from its final rep.
 //
 // Part 2 keeps the original google-benchmark microbenches on the 4 KiB
 // geometry.
@@ -71,7 +71,6 @@ std::size_t cmp_records() {
 struct ModeSpec {
   const char* name;
   IoTuning tuning;
-  CpuTuning cpu{1, 1};
   std::size_t workers = 0;       // > 0 routes dsort/partition through the
                                  // distributed path on W lanes (W is
                                  // geometry: every W must report identical
@@ -106,7 +105,6 @@ Rig make_rig(const char* tag, const ModeSpec& mode) {
   rig.ctx =
       std::make_unique<Context>(*rig.dev, mode.mem_blocks * mode.block_bytes);
   rig.ctx->set_io_tuning(mode.tuning);
-  rig.ctx->set_cpu_tuning(mode.cpu);
   rig.ctx->set_worker_tuning({mode.workers});
   rig.trace = std::make_unique<PassTraceLog>();
   rig.ctx->set_pass_trace(rig.trace.get());
@@ -239,22 +237,13 @@ ModeResult run_select_mode(const ModeSpec& mode) {
 void run_mode_comparison() {
   // Tuning shorthands.  batched runs stream_blocks() = 32 (fan-in 127 over
   // ~65 runs: one merge pass, like sync's fan-in 4095), so both perform
-  // identical I/O totals.  Every leg below batched reuses its tuning
-  // verbatim — threads are the only delta, so their logical I/Os and
-  // checksums must equal the batched leg's exactly.
+  // identical I/O totals.
   const IoTuning kSync{.batch_blocks = 1};
   const IoTuning kBatched{.batch_blocks = 32};
 
   const std::vector<ModeSpec> full_modes = {
       {"sync", kSync},
       {"batched", kBatched},
-      // CPU-parallel legs: same stream geometry as "batched", so I/O totals
-      // and output checksums must match it exactly for every thread count
-      // (the determinism contract).  sort_shards = 8 is geometry too, but
-      // record order is total, so even it cannot move a byte.  On a
-      // single-core host these report honestly flat times.
-      {"batched+t2", kBatched, CpuTuning{2, 8}},
-      {"batched+t4", kBatched, CpuTuning{4, 8}},
   };
   // Distribution sort (level-to-level re-reads) and multi-select (shrinking
   // candidate re-scans) run the batched leg only.
@@ -268,9 +257,9 @@ void run_mode_comparison() {
   // checksums — checked in-binary against the workers1 reference and again
   // by bench_compare.py --workers.
   const std::vector<ModeSpec> worker_modes = {
-      {"workers1", kBatched, CpuTuning{1, 1}, 1, 4096, 2048},
-      {"workers2", kBatched, CpuTuning{1, 1}, 2, 4096, 2048},
-      {"workers4", kBatched, CpuTuning{1, 1}, 4, 4096, 2048},
+      {"workers1", kBatched, 1, 4096, 2048},
+      {"workers2", kBatched, 2, 4096, 2048},
+      {"workers4", kBatched, 4, 4096, 2048},
   };
 
   struct OpSpec {
@@ -290,7 +279,7 @@ void run_mode_comparison() {
 
   bench::JsonEmitter json("wallclock");
   std::printf(
-      "# E10a: sync vs batched vs threads vs workers, "
+      "# E10a: sync vs batched vs workers, "
       "B = %zu bytes, M = %zu blocks, N = %zu records\n",
       kCmpBlockBytes, kCmpMemBlocks, cmp_records());
   std::printf("# %-16s %-11s %10s %12s %10s %8s\n", "op", "mode", "secs",
@@ -312,11 +301,10 @@ void run_mode_comparison() {
         ref_ios = r.ios;
         ref_checksum = r.checksum;
       }
-      // Every leg past the reference shares its stream geometry, so both
+      // Every worker leg shares its reference's stream geometry, so both
       // halves of the determinism contract are checkable right here: same
       // logical I/O total, same output bytes.
-      const bool follows_ref =
-          name.rfind("batched+", 0) == 0 || name.rfind("workers", 0) == 0;
+      const bool follows_ref = name.rfind("workers", 0) == 0;
       const bool deterministic =
           !follows_ref || (r.ios == ref_ios && r.checksum == ref_checksum);
       const double speedup = r.seconds > 0 ? base_secs / r.seconds : 0.0;
@@ -332,8 +320,6 @@ void run_mode_comparison() {
       json.field("mode", std::string(mode.name));
       json.field("workers", static_cast<std::uint64_t>(mode.workers));
       json.field("batch_blocks", static_cast<std::uint64_t>(mode.tuning.batch_blocks));
-      json.field("threads", static_cast<std::uint64_t>(mode.cpu.threads));
-      json.field("sort_shards", static_cast<std::uint64_t>(mode.cpu.sort_shards));
       json.field("block_bytes", static_cast<std::uint64_t>(mode.block_bytes));
       json.field("mem_blocks", static_cast<std::uint64_t>(mode.mem_blocks));
       json.field("records", static_cast<std::uint64_t>(cmp_records()));

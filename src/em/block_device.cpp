@@ -1,6 +1,7 @@
 #include "em/block_device.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -407,6 +408,14 @@ void BlockDevice::restore(std::uint64_t size_blocks,
   std::uint64_t total_live = 0;
   for (const auto& r : sorted) {
     if (!r.valid() || r.count == 0) continue;
+    if (r.first + r.count > preserved_blocks()) {
+      throw std::runtime_error(
+          "BlockDevice::restore: live extent [" + std::to_string(r.first) +
+          ", " + std::to_string(r.first + r.count) +
+          ") ends past the device's preserved contents (" +
+          std::to_string(preserved_blocks()) +
+          " blocks); the device file was truncated or replaced");
+    }
     need = std::max(need, r.first + r.count);
     total_live += r.count;
   }
@@ -586,7 +595,17 @@ FileBlockDevice::FileBlockDevice(std::string path, std::size_t block_bytes,
     throw std::runtime_error("FileBlockDevice: cannot open " + path_ + ": " +
                              std::strerror(errno));
   }
-  if (preserve_contents) import_sums(read_sums_file(sidecar_path()));
+  if (preserve_contents) {
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0) {
+      const int err = errno;
+      ::close(fd_);
+      throw std::runtime_error("FileBlockDevice: cannot stat " + path_ + ": " +
+                               std::strerror(err));
+    }
+    preserved_blocks_ = static_cast<std::uint64_t>(st.st_size) / block_bytes;
+    import_sums(read_sums_file(sidecar_path()));
+  }
 }
 
 FileBlockDevice::~FileBlockDevice() {

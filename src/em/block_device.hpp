@@ -336,9 +336,18 @@ class BlockDevice {
   /// survived a process death (FileBlockDevice reopened over its file).
   /// Grows the device to `size_blocks` and marks exactly the `live` extents
   /// allocated; everything else returns to the free list, and checksum
-  /// entries outside the live extents are dropped.  Call on a fresh device
-  /// before any allocation.
+  /// entries outside the live extents are dropped.  Throws
+  /// std::runtime_error, changing nothing, if a live extent ends past
+  /// preserved_blocks(): growing over it would read zeros where the journal
+  /// promised data.  Call on a fresh device before any allocation.
   void restore(std::uint64_t size_blocks, std::span<const BlockRange> live);
+
+  /// Blocks whose contents this device found in place when it was opened —
+  /// the most restore() may mark live.  Unbounded unless the device reopens
+  /// stored contents (FileBlockDevice with preserve_contents).
+  [[nodiscard]] virtual std::uint64_t preserved_blocks() const noexcept {
+    return UINT64_MAX;
+  }
 
  protected:
   virtual void do_read(BlockId block, std::span<std::byte> out) = 0;
@@ -501,6 +510,11 @@ class FileBlockDevice final : public BlockDevice {
 
   void persist_sums() override;
 
+  /// With preserve_contents, the whole blocks the file held at open.
+  [[nodiscard]] std::uint64_t preserved_blocks() const noexcept override {
+    return preserved_blocks_;
+  }
+
  protected:
   void do_read(BlockId block, std::span<std::byte> out) override;
   void do_write(BlockId block, std::span<const std::byte> in) override;
@@ -518,6 +532,7 @@ class FileBlockDevice final : public BlockDevice {
   int fd_ = -1;
   bool keep_file_;
   bool sums_persisted_ = false;  // persist_sums() already wrote the sidecar
+  std::uint64_t preserved_blocks_ = UINT64_MAX;
 };
 
 }  // namespace emsplit

@@ -19,7 +19,6 @@
 #include "em/block_device.hpp"
 #include "em/memory_budget.hpp"
 #include "em/phase_profile.hpp"
-#include "em/thread_pool.hpp"
 
 namespace emsplit {
 
@@ -38,30 +37,9 @@ struct IoTuning {
   std::size_t batch_blocks = 1;
 };
 
-/// Knobs for the CPU side (docs/model.md, "CPU parallelism and the
-/// determinism contract").  The split mirrors IoTuning's: `sort_shards` is
-/// *geometry* — it shapes how an in-memory chunk is cut into independently
-/// sorted shards, deterministically — while `threads` is pure *execution
-/// width* and never affects outputs or IoStats.  Any thread count replays
-/// the same shard geometry bit for bit.
-struct CpuTuning {
-  /// Execution lanes for parallel kernels: the caller plus threads - 1 pool
-  /// workers.  threads = 1 (the default) runs everything on the calling
-  /// thread with no pool at all, reproducing the classic serial library.
-  std::size_t threads = 1;
-  /// Shards per in-memory chunk sort (run formation, segment sorts,
-  /// partition leaves).  A geometry knob like batch_blocks: shards > 1 sorts
-  /// shard-wise and merges, which is still bit-identical to one whole-chunk
-  /// sort under a total order (and under any comparator for a fixed shard
-  /// count).
-  /// Defaults to 1 so the default path is the seed path, instruction for
-  /// instruction.
-  std::size_t sort_shards = 1;
-};
-
 /// Knobs for the worker-lane layer (em/worker_group.hpp, docs/model.md
-/// "Multi-worker partitioning and the PEM model").  Like shards and
-/// batch_blocks, `workers` is geometry, never output: the distributed passes
+/// "Multi-worker partitioning and the PEM model").  Like batch_blocks,
+/// `workers` is geometry, never output: the distributed passes
 /// decompose into work units whose shape depends only on (n, B, M, tuning);
 /// W merely assigns units to lanes, so every W produces bit-identical bytes
 /// and identical logical IoStats totals.
@@ -184,48 +162,6 @@ class Context {
     return tuning_.batch_blocks;
   }
 
-  /// Configure CPU parallelism.  Throws if either knob is 0.  threads > 1
-  /// spawns (or resizes) the shared worker pool; threads = 1 tears it down.
-  /// Only call at quiescent points (no parallel kernel in flight).
-  void set_cpu_tuning(const CpuTuning& tuning) {
-    if (tuning.threads == 0) {
-      throw std::invalid_argument(
-          "Context::set_cpu_tuning: threads must be positive");
-    }
-    if (tuning.sort_shards == 0) {
-      throw std::invalid_argument(
-          "Context::set_cpu_tuning: sort_shards must be positive");
-    }
-    cpu_tuning_ = tuning;
-    if (tuning.threads > 1) {
-      if (cpu_pool_ == nullptr || cpu_pool_->lanes() != tuning.threads) {
-        cpu_pool_.reset();
-        cpu_pool_ = std::make_unique<ThreadPool>(tuning.threads - 1);
-      }
-    } else {
-      cpu_pool_.reset();
-    }
-  }
-  [[nodiscard]] const CpuTuning& cpu_tuning() const noexcept {
-    return cpu_tuning_;
-  }
-
-  /// The shared CPU worker pool, or nullptr when threads = 1.
-  [[nodiscard]] ThreadPool* cpu_pool() const noexcept {
-    return cpu_pool_.get();
-  }
-
-  /// Execution lanes parallel kernels may use (>= 1).  Never part of any
-  /// geometry decision — see CpuTuning.
-  [[nodiscard]] std::size_t cpu_lanes() const noexcept {
-    return cpu_tuning_.threads;
-  }
-
-  /// Shards per in-memory chunk sort (geometry; >= 1).
-  [[nodiscard]] std::size_t sort_shards() const noexcept {
-    return cpu_tuning_.sort_shards;
-  }
-
   /// Optional per-phase I/O attribution (see phase_profile.hpp).  Null by
   /// default; benches attach one to explain where the scans go.
   void set_profile(PhaseProfile* profile) noexcept { profile_ = profile; }
@@ -257,7 +193,7 @@ class Context {
   /// Optional structured pass-trace sink (see pass_engine.hpp).  Null by
   /// default — the engine then records nothing.  When attached, every
   /// engine-run pass appends one PassTrace row (name, I/Os, bytes, wall
-  /// time, retries, threads).  Non-owning; main-thread only.
+  /// time, retries).  Non-owning; main-thread only.
   void set_pass_trace(PassTraceLog* log) noexcept { pass_trace_ = log; }
   [[nodiscard]] PassTraceLog* pass_trace() const noexcept {
     return pass_trace_;
@@ -320,11 +256,9 @@ class Context {
   PassTraceLog* pass_trace_ = nullptr;
   FaultPolicy fault_policy_;
   IoTuning tuning_;
-  CpuTuning cpu_tuning_;
   WorkerTuning worker_tuning_;
   std::uint64_t pass_hwm_ = 0;
   std::vector<PassWorkerIo> pass_workers_;
-  std::unique_ptr<ThreadPool> cpu_pool_;
 };
 
 }  // namespace emsplit

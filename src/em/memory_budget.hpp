@@ -45,11 +45,8 @@ class BudgetExceeded : public std::logic_error {
 class MemoryReservation;
 
 /// Tracks reserved bytes against a fixed capacity, with a peak high-water
-/// mark.  Algorithm reservations are made on the main thread; CPU pool tasks
-/// (em/thread_pool.hpp) receive their scratch from the caller, which sizes
-/// it with try_reserve() before dispatch and falls back to the serial code
-/// path when the budget has no room for per-thread state.  The counters are
-/// mutex-guarded so the service's query threads may reserve concurrently.
+/// mark.  The counters are mutex-guarded so the service's query threads may
+/// reserve concurrently.
 class MemoryBudget {
  public:
   explicit MemoryBudget(std::size_t capacity_bytes)
@@ -83,9 +80,8 @@ class MemoryBudget {
   /// Reserve `bytes`; throws BudgetExceeded if the budget cannot hold them.
   [[nodiscard]] MemoryReservation reserve(std::size_t bytes);
 
-  /// Reserve `bytes` if they fit, nullopt otherwise.  For *optional* state —
-  /// parallel kernels use it for per-thread scratch and degrade to their
-  /// serial loop when M is too tight, rather than failing the run.
+  /// Reserve `bytes` if they fit, nullopt otherwise — the service's
+  /// admission control queues or sheds a query instead of failing it.
   [[nodiscard]] std::optional<MemoryReservation> try_reserve(
       std::size_t bytes);
 

@@ -38,7 +38,6 @@ PassRunner::Scope::~Scope() {
   t.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
-  t.threads = runner_.ctx_->cpu_lanes();
   t.resumed = false;
   t.hwm_bytes = runner_.ctx_->take_pass_hwm();
   t.worker_io = runner_.ctx_->take_pass_workers();
@@ -56,7 +55,6 @@ void PassRunner::note_resumed(const char* label, std::uint64_t passes) {
   t.job = plan_.job;
   t.pass = label;
   t.index = seq_;
-  t.threads = ctx_->cpu_lanes();
   t.resumed = true;
   log->record(std::move(t));
 }
@@ -91,7 +89,6 @@ std::string pass_trace_json(const PassTrace& t) {
   s += ",\"hwm_bytes\":" + std::to_string(t.hwm_bytes);
   s += ",\"seconds\":";
   append_double(s, t.seconds);
-  s += ",\"threads\":" + std::to_string(t.threads);
   s += ",\"resumed\":";
   s += t.resumed ? "true" : "false";
   s += ",\"parent\":" + std::to_string(t.parent);

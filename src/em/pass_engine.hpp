@@ -3,17 +3,16 @@
 // Every algorithm in this repository — merge sort, the Aggarwal–Vitter
 // multi-partition, distribution sort, intermixed selection, the §5
 // splitters — is analyzed as a sequence of *linear passes*, and that is the
-// unit memory, parallelism, checkpointing and cost attribution attach to.
-// Before this header each algorithm hand-wove that lifecycle (stream setup,
-// budget reservation, pool dispatch, journal publish/resume, phase scoping)
-// itself; the pass engine owns it once:
+// unit memory, checkpointing and cost attribution attach to.  Before this
+// header each algorithm hand-wove that lifecycle (stream setup, budget
+// reservation, journal publish/resume, phase scoping) itself; the pass engine owns it once:
 //
 //   * PassPlan      — the declarative identity of a job: a display name and
 //                     the checkpoint fingerprint its passes publish under.
 //   * PassRunner    — runs one pass under a uniform envelope: a PhaseProfile
 //                     scope, an IoStats delta (retry-aware — retries travel
-//                     in the snapshot next to the base counts), wall time and
-//                     thread width, emitted as a PassTrace record to the
+//                     in the snapshot next to the base counts) and wall
+//                     time, emitted as a PassTrace record to the
 //                     context's trace sink.  The envelope performs no I/O of
 //                     its own, so a traced run is bit-identical to an
 //                     untraced one — the determinism contract (docs/model.md)
@@ -26,10 +25,6 @@
 //   * DistributionCheckpoint — the worklist-shaped lifecycle: one root pass
 //                     fans out into independent items (buckets) completed in
 //                     any order, each published as it finishes.
-//   * LaneScratch   — optional per-kernel scratch behind MemoryBudget::
-//                     try_reserve with the serial-fallback convention every
-//                     parallel kernel uses: no room (or no pool) → empty
-//                     buffer → caller's serial path.
 //
 // The engine is the single seam future observability / sharding work lands
 // on (ROADMAP.md "Open items").
@@ -69,7 +64,6 @@ struct PassTrace {
   IoStats io;             ///< I/O delta of the pass, retries included
   std::uint64_t bytes = 0;  ///< io.total() * block size
   double seconds = 0.0;   ///< wall time of the pass
-  std::size_t threads = 1;  ///< execution lanes configured during the pass
   bool resumed = false;   ///< true: replayed from the journal, not re-run
   /// Peak data-dependent working set the pass reported through
   /// Context::note_pass_hwm (0 for passes whose footprint is static — the
@@ -351,32 +345,6 @@ class DistributionCheckpoint {
   CheckpointJournal* ckpt_;
   std::uint64_t fp_;
   std::optional<CheckpointJournal::PartState> st_;
-};
-
-/// Optional scratch for a parallel kernel, following the serial-fallback
-/// convention every pool kernel in the stack uses: the buffer exists only
-/// when the budget grants `count * sizeof(X)` bytes next to everything
-/// already reserved (callers pass count = 0 when no pool is attached, so no
-/// reservation is attempted at all).  An empty buffer means "run the serial
-/// path" — a pure execution decision, never geometry.
-template <typename X>
-class LaneScratch {
- public:
-  LaneScratch(Context& ctx, std::size_t count) {
-    if (count == 0) return;
-    res_ = ctx.budget().try_reserve(count * sizeof(X));
-    if (res_.has_value()) buf_.resize(count);
-  }
-
-  [[nodiscard]] bool available() const noexcept { return !buf_.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
-  [[nodiscard]] std::vector<X>& vec() noexcept { return buf_; }
-  [[nodiscard]] const std::vector<X>& vec() const noexcept { return buf_; }
-  X& operator[](std::size_t i) noexcept { return buf_[i]; }
-
- private:
-  std::optional<MemoryReservation> res_;
-  std::vector<X> buf_;
 };
 
 /// One PassTrace row as a single-line JSON object — the `--trace=FILE`

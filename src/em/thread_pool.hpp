@@ -1,33 +1,24 @@
-// thread_pool.hpp — the worker pool behind parallel kernels and worker lanes.
+// thread_pool.hpp — the pool behind worker lanes.
 //
-// One pool serves a whole Context (created by set_cpu_tuning), and each
-// WorkerGroup with W >= 2 lanes owns one more.  Its only primitive is run():
-// execute fn(i) for every index i in [0, ntasks), with the calling thread
-// participating, and
-// return when all of them have finished.  Task indices are claimed under the
-// pool mutex in increasing order, so a batch of shard sorts starts in shard
-// order; completion order is of course scheduler-dependent, which is why
-// every parallel kernel in this library is written so that *results* never
-// depend on which thread ran which index (docs/model.md, "CPU parallelism
-// and the determinism contract").
+// Each WorkerGroup with W >= 2 lanes owns one pool (em/worker_group.hpp);
+// lanes are the library's one CPU-parallel mechanism.  Its only primitive is
+// run(): execute fn(i) for every index i in [0, ntasks), with the calling
+// thread participating, and return when all of them have finished.  Task
+// indices are claimed under the pool mutex in increasing order; completion
+// order is scheduler-dependent, which is why every lane body is written so
+// that *results* never depend on which thread ran which index (docs/model.md,
+// "Lanes").
 //
 // Exceptions thrown by tasks are captured per index; after the batch
 // barrier, run() rethrows the one with the smallest task index.  That makes
 // error behaviour deterministic too: the surfaced exception is the same one
 // a serial left-to-right loop would have hit first.
 //
-// The pool itself never touches the block device or a MemoryBudget, and
-// run() is a full happens-before barrier in both directions.  Two kinds of
-// task run on it:
-//
-//  * CPU kernels (the Context's pool): tasks only read and write memory
-//    handed to them by the caller — no I/O, and no reservations (the caller
-//    reserves budget for every task before dispatch).
-//  * Worker lanes (a WorkerGroup's pool, em/worker_group.hpp): each task
-//    transfers blocks through the shared device — its transfer interface is
-//    thread-safe for disjoint blocks — and reserves only from the lane's own
-//    private Context.  Device allocation stays with the caller, outside
-//    run().
+// run() is a full happens-before barrier in both directions.  Each task is a
+// lane: it transfers blocks through the shared device — its transfer
+// interface is thread-safe for disjoint blocks — and reserves only from the
+// lane's own private Context.  Device allocation stays with the caller,
+// outside run().
 #pragma once
 
 #include <condition_variable>
@@ -43,8 +34,8 @@ namespace emsplit {
 
 class ThreadPool {
  public:
-  /// Spawns `workers` threads.  A pool serving CpuTuning{threads} holds
-  /// threads - 1 workers: the caller of run() is the remaining lane.
+  /// Spawns `workers` threads.  A group of W lanes holds W - 1 workers: the
+  /// caller of run() is the remaining lane.
   explicit ThreadPool(std::size_t workers);
   /// Waits out any batch in flight, then joins the workers.
   ~ThreadPool();
@@ -85,8 +76,8 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Run fn over [0, ntasks) on `pool`, or serially when pool is null (the
-/// CpuTuning{threads = 1} configuration has no pool at all).
+/// Run fn over [0, ntasks) on `pool`, or serially when pool is null (a
+/// group of one lane has no pool at all).
 inline void run_parallel(ThreadPool* pool, std::size_t ntasks,
                          const std::function<void(std::size_t)>& fn) {
   if (pool == nullptr) {

@@ -38,9 +38,6 @@ std::vector<PassWorkerIo> WorkerGroup::round(const char* label,
                    std::max(ctx_->mem_bytes() / wt.mem_workers,
                             2 * ctx_->block_bytes()));
       lctx.set_io_tuning(ctx_->io_tuning());
-      CpuTuning cpu = ctx_->cpu_tuning();
-      cpu.threads = 1;
-      lctx.set_cpu_tuning(cpu);
       body(lctx, w);
       peak = lctx.budget().peak();
     }

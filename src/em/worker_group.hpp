@@ -16,10 +16,11 @@
 //
 //  * W >= 1 — threaded lanes.  Each round runs lanes 0 … W−1 on a
 //    ThreadPool(W − 1) the group owns (the caller is the W-th thread; lanes
-//    are claimed in index order; W = 1 runs lane 0 on the caller alone).  Every lane gets a private Context over the
-//    shared device: budget M / mem_workers floored at 2B, the coordinator's
-//    IoTuning, and one CPU lane.  That is the PEM processor's private memory;
-//    the unit geometry (dist_plan.hpp) is computed against the same share.
+//    are claimed in index order; W = 1 runs lane 0 on the caller alone).
+//    Every lane gets a private Context over the shared device: budget
+//    M / mem_workers floored at 2B and the coordinator's IoTuning.  That is
+//    the PEM processor's private memory; the unit geometry (dist_plan.hpp)
+//    is computed against the same share.
 //
 // Bodies write only their own lane's disjoint, block-aligned device ranges
 // and their own lane's result slot, never allocate or free extents, and

@@ -107,11 +107,6 @@ T small_median(std::array<T, 5>& buf, std::size_t n, Less less) {
   return buf[(n - 1) / 2];
 }
 
-/// Below this many resident records a scan batch is not worth a pool
-/// dispatch (an execution threshold, not geometry — serial and parallel
-/// batches compute the same thing).
-inline constexpr std::size_t kScanGrain = 1024;
-
 }  // namespace detail
 
 /// Solve the L-intermixed selection problem.  `data` is consumed (its device
@@ -147,68 +142,26 @@ template <EmRecord T, typename Less = std::less<T>>
     }
 
     // --- Pass 1: quintet medians into Σ, counting |Σ_i| per group. -------
-    // Data-parallel over each resident block batch by *group ownership*:
-    // lane t processes exactly the records whose group id satisfies
-    // g % lanes == t, so every group's quintet state is touched by one lane
-    // only, in stream order — the same per-group evolution as the serial
-    // loop.  A produced median is parked in a per-position slot (at most one
-    // median per record position) and the main thread drains the slots in
-    // position order, so the Σ writer sees the serial push sequence exactly,
-    // for any thread count.
     EmVector<G> sigma(ctx, d.size() / 5 + l);
     std::vector<std::uint64_t> sigma_count(l, 0);
     runner.run("intermixed/quintet-medians", [&] {
       auto res_buf = ctx.budget().reserve(l * (5 * sizeof(T) + 1 + 8));
       std::vector<std::array<T, 5>> quintet(l);
       std::vector<std::uint8_t> fill(l, 0);
-      ThreadPool* pool = ctx.cpu_pool();
-      const std::size_t lanes = ctx.cpu_lanes();
-      constexpr std::uint64_t kNoMedian = ~std::uint64_t{0};
-      // Per-position median slots (optional scratch — see LaneScratch).
-      LaneScratch<G> medians(
-          ctx, pool != nullptr
-                   ? ctx.io_tuning().batch_blocks * ctx.block_records<G>()
-                   : 0);
       StreamReader<G> reader(d);
       StreamWriter<G> writer(sigma);
       while (!reader.done()) {
         const std::span<const G> sp = reader.peek_span();
-        if (sp.size() >= detail::kScanGrain && sp.size() <= medians.size()) {
-          pool->run(lanes, [&](std::size_t t) {
-            for (std::size_t i = 0; i < sp.size(); ++i) {
-              const G& e = sp[i];
-              if (e.group % lanes != t) continue;
-              if (e.group >= l) {
-                throw std::invalid_argument(
-                    "intermixed: group id out of range");
-              }
-              auto& q = quintet[e.group];
-              q[fill[e.group]++] = e.value;
-              if (fill[e.group] == 5) {
-                medians[i] = G{detail::small_median(q, 5, less), e.group};
-                fill[e.group] = 0;
-              } else {
-                medians[i].group = kNoMedian;
-              }
-            }
-          });
-          for (std::size_t i = 0; i < sp.size(); ++i) {
-            if (medians[i].group == kNoMedian) continue;
-            writer.push(medians[i]);
-            ++sigma_count[medians[i].group];
+        for (const G& e : sp) {
+          if (e.group >= l) {
+            throw std::invalid_argument("intermixed: group id out of range");
           }
-        } else {
-          for (const G& e : sp) {
-            if (e.group >= l) {
-              throw std::invalid_argument("intermixed: group id out of range");
-            }
-            auto& q = quintet[e.group];
-            q[fill[e.group]++] = e.value;
-            if (fill[e.group] == 5) {
-              writer.push(G{detail::small_median(q, 5, less), e.group});
-              ++sigma_count[e.group];
-              fill[e.group] = 0;
-            }
+          auto& q = quintet[e.group];
+          q[fill[e.group]++] = e.value;
+          if (fill[e.group] == 5) {
+            writer.push(G{detail::small_median(q, 5, less), e.group});
+            ++sigma_count[e.group];
+            fill[e.group] = 0;
           }
         }
         reader.consume(sp.size());
@@ -246,47 +199,18 @@ template <EmRecord T, typename Less = std::less<T>>
     rank_spill.reset();
 
     // --- Pass 2: θ_i = #{e in D_i : e <= μ_i}. ----------------------------
-    // Data-parallel rank counting: each resident batch is sliced across the
-    // lanes, lane 0 counting into θ itself and lane t > 0 into its own
-    // partial array.  The partials are folded into θ in fixed lane order
-    // after the scan — integer sums, so θ equals the serial count exactly
-    // for any thread count.  The partials are optional per-lane scratch:
-    // without budget room the serial scan runs.
     std::vector<std::uint64_t> theta(l, 0);
     {
       auto res_arrays =
           ctx.budget().reserve(l * (sizeof(T) + 2 * sizeof(std::uint64_t)));
       runner.run("intermixed/rank-count", [&] {
-        ThreadPool* pool = ctx.cpu_pool();
-        const std::size_t lanes = ctx.cpu_lanes();
-        // Per-lane partial counts, (lanes - 1) x l (optional scratch).
-        LaneScratch<std::uint64_t> partials(
-            ctx, pool != nullptr ? (lanes - 1) * l : 0);
         StreamReader<G> reader(d);
         while (!reader.done()) {
           const std::span<const G> sp = reader.peek_span();
-          if (partials.available() && sp.size() >= detail::kScanGrain) {
-            pool->run(lanes, [&](std::size_t t) {
-              std::uint64_t* acc = t == 0 ? theta.data()
-                                          : partials.vec().data() + (t - 1) * l;
-              const std::size_t beg = sp.size() * t / lanes;
-              const std::size_t end = sp.size() * (t + 1) / lanes;
-              for (std::size_t i = beg; i < end; ++i) {
-                if (!less(mu[sp[i].group], sp[i].value)) ++acc[sp[i].group];
-              }
-            });
-          } else {
-            for (const G& e : sp) {
-              if (!less(mu[e.group], e.value)) ++theta[e.group];
-            }
+          for (const G& e : sp) {
+            if (!less(mu[e.group], e.value)) ++theta[e.group];
           }
           reader.consume(sp.size());
-        }
-        for (std::size_t t = 1; t < lanes; ++t) {
-          if (!partials.available()) break;
-          for (std::size_t g = 0; g < l; ++g) {
-            theta[g] += partials[(t - 1) * l + g];
-          }
         }
       });
 

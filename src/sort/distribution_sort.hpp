@@ -32,7 +32,6 @@
 #include "em/stream.hpp"
 #include "partition/multi_partition.hpp"
 #include "sort/branchless_sort.hpp"
-#include "sort/chunk_sort.hpp"
 
 namespace emsplit {
 namespace detail {
@@ -90,10 +89,6 @@ void distribution_final_pass(Context& ctx, EmVector<T>& out,
                              std::size_t segment, Less less) {
   auto res = ctx.budget().reserve(segment * sizeof(T));
   std::vector<T> buf(segment);
-  // Scratch for the shard merge so the sorted group can stream out of a
-  // contiguous array; when M has no room next to `buf`, the in-place
-  // unsharded sort runs instead (a geometry decision, thread-independent).
-  LaneScratch<T> scratch(ctx, ctx.sort_shards() > 1 ? segment : 0);
   std::size_t group_lo = 0;
   std::size_t group_hi = 0;
   const auto flush = [&] {
@@ -105,17 +100,8 @@ void distribution_final_pass(Context& ctx, EmVector<T>& out,
                       sizeof(T));
     const auto span = std::span<T>(buf).first(group_hi - group_lo);
     load_range<T>(out, group_lo, span);
-    if (scratch.available()) {
-      const auto shards = detail::sort_shards_in_place<T>(ctx, span, less);
-      std::size_t filled = 0;
-      detail::merge_shards<T>(span, shards, less,
-                              [&](const T& v) { scratch[filled++] = v; });
-      store_range<T>(out, group_lo,
-                     std::span<const T>(scratch.vec().data(), filled));
-    } else {
-      branchless_sort(span, less);
-      store_range<T>(out, group_lo, span);
-    }
+    branchless_sort(span, less);
+    store_range<T>(out, group_lo, span);
     group_lo = group_hi;
   };
   for (const MultiPartitionSpan& s : spans) {

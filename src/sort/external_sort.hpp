@@ -24,7 +24,6 @@
 #include "em/em_vector.hpp"
 #include "em/stream.hpp"
 #include "sort/branchless_sort.hpp"
-#include "sort/chunk_sort.hpp"
 #include "sort/loser_tree.hpp"
 #include "sort/replacement_selection.hpp"
 
@@ -53,11 +52,10 @@ using RunOffsets = std::vector<std::size_t>;
 /// Phase 1 — split `input` into sorted runs written to a fresh vector.
 ///
 /// Runs are produced through a StreamReader/StreamWriter pair: chunk i is
-/// loaded, sorted (shard-parallel on the CPU pool, see chunk_sort.hpp) and
-/// streamed out before chunk i + 1 is read.  The chunk size is M minus the
-/// two stream footprints —
-/// at the default tuning that is the classic M - 2B, so the default path
-/// reproduces the seed's run geometry and I/O counts exactly.
+/// loaded, sorted and streamed out before chunk i + 1 is read.  The chunk
+/// size is M minus the two stream footprints — at the default tuning that
+/// is the classic M - 2B, so the default path reproduces the seed's run
+/// geometry and I/O counts exactly.
 template <EmRecord T, typename Less>
 std::pair<EmVector<T>, RunOffsets> form_runs(Context& ctx,
                                              const EmVector<T>& input,
@@ -99,9 +97,8 @@ std::pair<EmVector<T>, RunOffsets> form_runs(Context& ctx,
         got += take;
       }
       const auto span = std::span<T>(buf).first(len);
-      const auto shards = sort_shards_in_place<T>(ctx, span, less);
-      merge_shards<T>(span, shards, less,
-                      [&writer](const T& v) { writer.push(v); });
+      branchless_sort(span, less);
+      for (const T& v : span) writer.push(v);
       offsets.push_back(offsets.back() + len);
     }
     writer.finish();

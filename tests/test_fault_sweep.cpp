@@ -14,6 +14,8 @@
 // (docs/model.md, "Lanes").
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -312,6 +314,96 @@ TEST(CheckpointResume, SurvivesProcessReopen) {
   std::remove((dev_path + ".sums").c_str());
   std::remove(jpath.c_str());
 }
+
+// A device file that no longer covers the journal must refuse the resume:
+// growing the file back over a journaled extent reads zeros where the journal
+// promised data, which once resumed with exit 0 and wrong output.
+
+enum class TruncJob { kSort, kDsort, kPartition };
+
+constexpr const char* trunc_job_name(TruncJob j) {
+  return j == TruncJob::kSort    ? "Sort"
+         : j == TruncJob::kDsort ? "Dsort"
+                                 : "Partition";
+}
+
+void run_trunc_job(Context& ctx, const EmVector<Record>& in, TruncJob job) {
+  switch (job) {
+    case TruncJob::kSort:
+      (void)external_sort<Record>(ctx, in);
+      break;
+    case TruncJob::kDsort:
+      (void)distribution_sort<Record>(ctx, in);
+      break;
+    case TruncJob::kPartition:
+      (void)multi_partition<Record>(ctx, in, {256, 512, 768});
+      break;
+  }
+}
+
+class TruncatedDeviceResume : public ::testing::TestWithParam<TruncJob> {};
+
+TEST_P(TruncatedDeviceResume, RestoreRefusesAFileShorterThanTheJournal) {
+  const TruncJob job = GetParam();
+  const std::size_t n = 1024;
+  const std::string stem =
+      testing::TempDir() + "/trunc_" + trunc_job_name(job);
+  const std::string dev_path = stem + "_device.bin";
+  const std::string jpath = stem + "_journal.ckpt";
+  std::remove(dev_path.c_str());
+  std::remove((dev_path + ".sums").c_str());
+  std::remove(jpath.c_str());
+  auto host = make_workload(Workload::kUniform, n, 27);
+
+  EmEnv ref(256, 8);
+  auto ref_in = materialize<Record>(ref.ctx, host);
+  ref.dev.reset_stats();
+  run_trunc_job(ref.ctx, ref_in, job);
+  const std::uint64_t ref_total = ref.dev.stats().total();
+
+  std::uint64_t input_blocks = 0;
+  {
+    // "Process 1": dies three quarters of the way through the job, with at
+    // least one pass journaled.  The staged input holds the file's first
+    // blocks, so every journaled extent lies past them.
+    FileBlockDevice dev(dev_path, 256, /*keep_file=*/true,
+                        /*preserve_contents=*/true);
+    Context ctx(dev, 8 * 256);
+    CheckpointJournal journal(dev, jpath);
+    journal.restore_device();
+    ctx.set_checkpoint(&journal);
+    auto in = materialize<Record>(ctx, host);
+    input_blocks = dev.allocated_blocks();
+    dev.arm_fault_after(ref_total * 3 / 4);
+    EXPECT_THROW(run_trunc_job(ctx, in, job), DeviceFault);
+    dev.disarm_fault();
+    ASSERT_GT(journal.owned_blocks(), 0u) << "nothing was journaled";
+    ctx.set_checkpoint(nullptr);
+  }
+  // Between the processes the device file loses everything past the input.
+  ASSERT_EQ(::truncate(dev_path.c_str(),
+                       static_cast<off_t>(input_blocks * 256)),
+            0);
+  {
+    // "Process 2": the journal names extents the file no longer holds.
+    FileBlockDevice dev(dev_path, 256, /*keep_file=*/true,
+                        /*preserve_contents=*/true);
+    EXPECT_EQ(dev.preserved_blocks(), input_blocks);
+    CheckpointJournal journal(dev, jpath);
+    EXPECT_THROW(journal.restore_device(), std::runtime_error);
+    EXPECT_EQ(dev.allocated_blocks(), 0u) << "a refused restore changed state";
+  }
+  std::remove(dev_path.c_str());
+  std::remove((dev_path + ".sums").c_str());
+  std::remove(jpath.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, TruncatedDeviceResume,
+                         ::testing::Values(TruncJob::kSort, TruncJob::kDsort,
+                                           TruncJob::kPartition),
+                         [](const auto& job_info) {
+                           return trunc_job_name(job_info.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Worker kills: a lane killed at every (lane, round) position of a

@@ -1,8 +1,7 @@
-// Unit tests for the CPU worker pool (em/thread_pool.hpp) and the budget
-// hooks parallel kernels use for per-thread scratch: every task runs exactly
-// once, exceptions surface deterministically (smallest task index, like a
-// serial left-to-right loop), and try_reserve degrades to "no scratch"
-// instead of throwing when M is tight.
+// Unit tests for the lane pool (em/thread_pool.hpp) and the budget's
+// try_reserve: every task runs exactly once, exceptions surface
+// deterministically (smallest task index, like a serial left-to-right loop),
+// and try_reserve declines instead of throwing when M is full.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -90,7 +89,7 @@ TEST(ThreadPoolTest, RunParallelWithoutPoolIsSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// Budget-aware per-thread scratch: MemoryBudget::try_reserve.
+// MemoryBudget::try_reserve: the service's admission primitive.
 // ---------------------------------------------------------------------------
 
 TEST(TryReserveTest, GrantsWithinCapacityAndCountsTowardPeak) {

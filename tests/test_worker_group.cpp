@@ -352,7 +352,6 @@ TEST(WorkerGroupMode, LanesRunConcurrentlyOnPrivateContexts) {
     contexts[w] = &wctx;
     EXPECT_EQ(wctx.mem_bytes(), ctx.mem_bytes() / 2) << "lane " << w;
     EXPECT_EQ(wctx.io_tuning().batch_blocks, 4u) << "lane " << w;
-    EXPECT_EQ(wctx.cpu_lanes(), 1u) << "lane " << w;
     auto res = wctx.budget().reserve(64 * (w + 1));
     {
       // A barrier inside the round: it is only passed if all W lanes are

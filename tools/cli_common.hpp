@@ -26,8 +26,6 @@ struct Options {
   std::size_t block_bytes = 4096;
   std::size_t mem_bytes = 1 << 20;
   std::string backend = "mem";
-  std::size_t threads = 1;
-  std::size_t sort_shards = 1;
   std::size_t workers = 0;
   std::size_t kill_worker = 0;
   std::uint64_t kill_round = 0;

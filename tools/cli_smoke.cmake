@@ -49,8 +49,7 @@ foreach(opt --cache-blocks=64 --queue-depth=1 --async=on)
   endif()
 endforeach()
 
-# Removed device options are refused with a usage error; --sort-shards (the
-# in-memory sort geometry) is unaffected.
+# Removed device options are refused with a usage error.
 foreach(pair backend:uring shards:2 stripe-blocks:8)
   string(REPLACE ":" "=" opt "--${pair}")
   execute_process(COMMAND ${CLI} ${opt} info data.bin
@@ -60,13 +59,12 @@ foreach(pair backend:uring shards:2 stripe-blocks:8)
     message(FATAL_ERROR "${opt}: want a usage error (exit 2), got (${rc}):\n${err}")
   endif()
 endforeach()
-run(--sort-shards=2 sort data.bin sorted2.bin)
 
-# Removed worker-supervision options are refused with a usage error, and the
-# usage text no longer lists them; --kill-worker (the lane kill hook) and
-# --mem-workers are unaffected.
+# Removed worker-supervision and CPU-pool options are refused with a usage
+# error, and the usage text no longer lists them; --kill-worker (the lane
+# kill hook) and --mem-workers are unaffected.
 foreach(pair hang-worker:1:2 corrupt-frame:1:2 max-worker-retries:2
-        worker-timeout:8 degrade-after:1)
+        worker-timeout:8 degrade-after:1 threads:4 sort-shards:2)
   string(REGEX REPLACE "^([a-z-]+):" "--\\1=" opt "${pair}")
   execute_process(COMMAND ${CLI} ${opt} info data.bin
     WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc
@@ -120,4 +118,35 @@ execute_process(COMMAND ${CLI} ${resume_args}
 if(rc EQUAL 0 OR NOT err MATCHES "checksum mismatch")
   message(FATAL_ERROR
     "resume over a corrupted device: want a checksum mismatch, got (${rc}):\n${out}\n${err}")
+endif()
+
+# A device file shorter than the journal: a sort killed after its first
+# journaled pass, whose device file then loses its second half, must refuse
+# the resume (restore would grow the file back with zeros and sort them).
+run(gen tdata.bin 200000 uniform 17)
+file(REMOVE_RECURSE ${WORKDIR}/tck)
+file(MAKE_DIRECTORY ${WORKDIR}/tck)
+set(trunc_args --mem-bytes=262144 --backend=file --checksums=on
+  --checkpoint-dir=tck sort tdata.bin tout.bin)
+execute_process(COMMAND ${CLI} --crash-after-pass=1 ${trunc_args}
+  WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc
+  OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 137)
+  message(FATAL_ERROR "crashed run: want exit 137, got (${rc}):\n${err}")
+endif()
+file(WRITE ${WORKDIR}/halve.py "import os, sys
+p = sys.argv[1]
+os.truncate(p, os.path.getsize(p) // 2)
+")
+execute_process(COMMAND ${PYTHON3} halve.py tck/device.bin
+  WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "could not truncate tck/device.bin")
+endif()
+execute_process(COMMAND ${CLI} ${trunc_args}
+  WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(rc EQUAL 0 OR NOT err MATCHES "preserved contents")
+  message(FATAL_ERROR
+    "resume over a truncated device: want a refusal, got (${rc}):\n${out}\n${err}")
 endif()

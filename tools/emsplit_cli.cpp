@@ -34,12 +34,11 @@
 // epoch publishes are crash-consistent: kill it mid-refresh, restart, and
 // it serves the last published epoch (the CI smoke leg's assertion).
 //
-// --threads is pure execution width: for any value, the reported I/O cost
-// and the output bytes are identical (the determinism contract in
-// docs/model.md).  --sort-shards changes the in-memory sort geometry, but
-// record order is total, so outputs still match bit-for-bit.  --backend and
-// --batch-blocks are likewise output-transparent: the device and batching
-// are geometry, never output (docs/model.md, "I/O batching").  Transient
+// Lanes are the one CPU-parallel knob: --workers=W >= 1 runs the src/dist/
+// plan on W threads, and for every such W the reported I/O cost and the
+// output bytes are identical (docs/model.md, "Lanes").  --backend and --batch-blocks are likewise
+// output-transparent: the device and batching are geometry, never output
+// (docs/model.md, "I/O batching").  Transient
 // retries never change the base I/O counts either — `[cost]` reports them
 // separately (docs/model.md, "Failure model, retries, and recovery").
 #include <arpa/inet.h>
