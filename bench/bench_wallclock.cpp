@@ -308,8 +308,9 @@ void run_mode_comparison() {
       const bool deterministic =
           !follows_ref || (r.ios == ref_ios && r.checksum == ref_checksum);
       const double speedup = r.seconds > 0 ? base_secs / r.seconds : 0.0;
+      // Against the leg's own M: the worker legs run a larger geometry.
       const double peak_frac = static_cast<double>(r.peak) /
-                               static_cast<double>(kCmpMemBlocks * kCmpBlockBytes);
+                               static_cast<double>(mode.mem_blocks * mode.block_bytes);
       std::printf("  %-16s %-11s %10.3f %12llu %10.3f %7.2fx%s%s\n",
                   op.op, mode.name, r.seconds,
                   static_cast<unsigned long long>(r.ios), peak_frac, speedup,

@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "em/fnv.hpp"
@@ -17,19 +16,10 @@ namespace emsplit {
 
 namespace {
 
-/// splitmix64: the probabilistic schedule's per-attempt uniform draw.
-double uniform_draw(std::uint64_t seed, std::uint64_t counter) {
-  std::uint64_t z = seed + (counter + 1) * 0x9E3779B97F4A7C15ULL;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  z ^= z >> 31;
-  return static_cast<double>(z >> 11) * 0x1.0p-53;
-}
-
 std::string fault_message(const char* op, BlockId first, std::uint64_t count,
-                          std::uint64_t completed, bool transient) {
-  return std::string("injected ") + (transient ? "transient" : "permanent") +
-         " fault on " + op + ": blocks [" + std::to_string(first) + ", " +
+                          std::uint64_t completed) {
+  return std::string("injected fault on ") + op + ": blocks [" +
+         std::to_string(first) + ", " +
          std::to_string(first + count) + "), " + std::to_string(completed) +
          "/" + std::to_string(count) + " transferred";
 }
@@ -69,8 +59,7 @@ BlockDevice::~BlockDevice() = default;
 
 IoStats BlockDevice::stats() const noexcept {
   return IoStats{reads_.load(std::memory_order_relaxed),
-                 writes_.load(std::memory_order_relaxed),
-                 retries_.load(std::memory_order_relaxed)};
+                 writes_.load(std::memory_order_relaxed)};
 }
 
 IoStats BlockDevice::thread_stats() noexcept { return t_thread_io; }
@@ -78,7 +67,6 @@ IoStats BlockDevice::thread_stats() noexcept { return t_thread_io; }
 void BlockDevice::reset_stats() noexcept {
   reads_.store(0, std::memory_order_relaxed);
   writes_.store(0, std::memory_order_relaxed);
-  retries_.store(0, std::memory_order_relaxed);
 }
 
 BlockRange BlockDevice::allocate(std::uint64_t count) {
@@ -156,67 +144,19 @@ void BlockDevice::check_range(BlockId first, std::uint64_t count,
 }
 
 BlockDevice::FaultDecision BlockDevice::fault_check(std::uint64_t count) {
-  if (!fault_armed_.load(std::memory_order_acquire)) return {count, false, false};
+  if (!fault_armed_.load(std::memory_order_acquire)) return {count, false};
   const std::lock_guard<std::mutex> lock(fault_mu_);
-  if (!fault_armed_.load(std::memory_order_relaxed)) return {count, false, false};
-  switch (schedule_.kind) {
-    case FaultSchedule::Kind::kOneShot:
-      if (fault_countdown_ >= count) {
-        fault_countdown_ -= count;
-        return {count, false, false};
-      } else {
-        // The fault fires inside this request: allow the I/Os before it,
-        // disarm (one-shot).
-        const std::uint64_t allowed = fault_countdown_;
-        fault_countdown_ = 0;
-        fault_armed_.store(false, std::memory_order_relaxed);
-        return {allowed, true, schedule_.transient};
-      }
-    case FaultSchedule::Kind::kFailThenSucceed:
-      if (fault_countdown_ >= count) {
-        fault_countdown_ -= count;
-        return {count, false, false};
-      } else {
-        // One faulting *attempt* per consultation; the burst counts attempts,
-        // so a retry re-enters here and consumes the next one.
-        const std::uint64_t allowed = fault_countdown_;
-        fault_countdown_ = 0;
-        if (--fault_burst_left_ == 0) {
-          fault_armed_.store(false, std::memory_order_relaxed);
-        }
-        return {allowed, true, schedule_.transient};
-      }
-    case FaultSchedule::Kind::kEveryNth: {
-      if (schedule_.period == 0) return {count, false, false};
-      for (std::uint64_t j = 0; j < count; ++j) {
-        ++fault_attempts_;
-        if (fault_attempts_ % schedule_.period == 0) {
-          return {j, true, schedule_.transient};
-        }
-      }
-      return {count, false, false};
-    }
-    case FaultSchedule::Kind::kProbabilistic: {
-      for (std::uint64_t j = 0; j < count; ++j) {
-        ++fault_attempts_;
-        if (uniform_draw(schedule_.seed, fault_attempts_) <
-            schedule_.probability) {
-          return {j, true, schedule_.transient};
-        }
-      }
-      return {count, false, false};
-    }
+  if (!fault_armed_.load(std::memory_order_relaxed)) return {count, false};
+  if (fault_countdown_ >= count) {
+    fault_countdown_ -= count;
+    return {count, false};
   }
-  return {count, false, false};
-}
-
-void BlockDevice::backoff_sleep(std::uint64_t attempt) const {
-  if (fault_policy_.backoff.count() <= 0) return;
-  const std::uint64_t shift = std::min<std::uint64_t>(attempt - 1, 20);
-  const auto delay = std::min(
-      fault_policy_.max_backoff,
-      std::chrono::microseconds(fault_policy_.backoff.count() << shift));
-  std::this_thread::sleep_for(delay);
+  // The fault fires inside this request: allow the I/Os before it, disarm
+  // (one-shot).
+  const std::uint64_t allowed = fault_countdown_;
+  fault_countdown_ = 0;
+  fault_armed_.store(false, std::memory_order_relaxed);
+  return {allowed, true};
 }
 
 void BlockDevice::record_sums(BlockId first, std::uint64_t count,
@@ -273,75 +213,44 @@ void BlockDevice::verify_sums(BlockId first, std::uint64_t count,
 
 void BlockDevice::read_core(const char* op, BlockId first, std::uint64_t count,
                             std::span<std::byte> out) {
-  std::uint64_t done = 0;
-  std::uint64_t attempt = 0;
   const bool verify = checksums();
   const ThreadTally tally;
-  for (;;) {
-    const std::uint64_t want = count - done;
-    const auto span = out.subspan(static_cast<std::size_t>(done) * block_bytes_);
-    const FaultDecision d = fault_check(want);
-    if (d.allowed > 0) {
-      // The blocks before a mid-batch fault transfer (and count) normally;
-      // the faulting block itself moves no bytes.
-      const std::size_t bytes =
-          d.allowed == want ? span.size()
-                            : static_cast<std::size_t>(d.allowed) * block_bytes_;
-      const auto sub = span.first(bytes);
-      do_read_blocks(first + done, d.allowed, sub);
-      reads_.fetch_add(d.allowed, std::memory_order_relaxed);
-      tally.add(&IoStats::reads, d.allowed);
-      if (verify) verify_sums(first + done, d.allowed, sub);
-      done += d.allowed;
-    }
-    if (!d.fires) return;
-    // Transient faults are retried (resuming at the first untransferred
-    // block, so base counts match the fault-free run); permanent faults and
-    // exhausted retry budgets surface with the request attached.
-    if (d.transient && attempt < fault_policy_.max_retries) {
-      ++attempt;
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      tally.add(&IoStats::retries, 1);
-      backoff_sleep(attempt);
-      continue;
-    }
-    throw DeviceFault(fault_message(op, first, count, done, d.transient),
-                      d.transient, "read", first, count, done);
+  const FaultDecision d = fault_check(count);
+  if (d.allowed > 0) {
+    // The blocks before a mid-batch fault transfer (and count) normally;
+    // the faulting block itself moves no bytes.
+    const auto sub = d.fires ? out.first(static_cast<std::size_t>(d.allowed) *
+                                         block_bytes_)
+                             : out;
+    do_read_blocks(first, d.allowed, sub);
+    reads_.fetch_add(d.allowed, std::memory_order_relaxed);
+    tally.add(&IoStats::reads, d.allowed);
+    if (verify) verify_sums(first, d.allowed, sub);
+  }
+  if (d.fires) {
+    throw DeviceFault(fault_message(op, first, count, d.allowed), "read",
+                      first, count, d.allowed);
   }
 }
 
 void BlockDevice::write_core(const char* op, BlockId first,
                              std::uint64_t count,
                              std::span<const std::byte> in) {
-  std::uint64_t done = 0;
-  std::uint64_t attempt = 0;
   const bool track = checksums();
   const ThreadTally tally;
-  for (;;) {
-    const std::uint64_t want = count - done;
-    const auto span = in.subspan(static_cast<std::size_t>(done) * block_bytes_);
-    const FaultDecision d = fault_check(want);
-    if (d.allowed > 0) {
-      const std::size_t bytes =
-          d.allowed == want ? span.size()
-                            : static_cast<std::size_t>(d.allowed) * block_bytes_;
-      const auto sub = span.first(bytes);
-      do_write_blocks(first + done, d.allowed, sub);
-      writes_.fetch_add(d.allowed, std::memory_order_relaxed);
-      tally.add(&IoStats::writes, d.allowed);
-      if (track) record_sums(first + done, d.allowed, sub);
-      done += d.allowed;
-    }
-    if (!d.fires) return;
-    if (d.transient && attempt < fault_policy_.max_retries) {
-      ++attempt;
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      tally.add(&IoStats::retries, 1);
-      backoff_sleep(attempt);
-      continue;
-    }
-    throw DeviceFault(fault_message(op, first, count, done, d.transient),
-                      d.transient, "write", first, count, done);
+  const FaultDecision d = fault_check(count);
+  if (d.allowed > 0) {
+    const auto sub = d.fires ? in.first(static_cast<std::size_t>(d.allowed) *
+                                        block_bytes_)
+                             : in;
+    do_write_blocks(first, d.allowed, sub);
+    writes_.fetch_add(d.allowed, std::memory_order_relaxed);
+    tally.add(&IoStats::writes, d.allowed);
+    if (track) record_sums(first, d.allowed, sub);
+  }
+  if (d.fires) {
+    throw DeviceFault(fault_message(op, first, count, d.allowed), "write",
+                      first, count, d.allowed);
   }
 }
 

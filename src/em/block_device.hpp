@@ -26,7 +26,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -60,28 +59,20 @@ struct BlockRange {
 /// Thrown by the fault-injection hook; used by tests to verify that the RAII
 /// layers above the device are strongly exception-safe.
 ///
-/// A fault is either *transient* (a retry of the same transfer may succeed —
-/// bus glitches, momentary device timeouts) or *permanent*.  The device's
-/// retry layer (see FaultPolicy) consumes transient faults up to the policy
-/// bound; whatever escapes to the caller — permanent faults, or transient
-/// ones past the retry budget — carries the exact request that failed:
-/// operation, block range, and how many blocks of the request had already
-/// transferred (and been counted) when the fault fired.
+/// A fault carries the exact request that failed: operation, block range,
+/// and how many blocks of the request had already transferred (and been
+/// counted) when the fault fired.
 class DeviceFault : public std::runtime_error {
  public:
-  explicit DeviceFault(const std::string& what) : std::runtime_error(what) {}
-  DeviceFault(const std::string& what, bool transient, const char* op,
-              BlockId first, std::uint64_t count, std::uint64_t completed)
+  DeviceFault(const std::string& what, const char* op, BlockId first,
+              std::uint64_t count, std::uint64_t completed)
       : std::runtime_error(what),
-        transient_(transient),
         op_(op),
         first_(first),
         count_(count),
         completed_(completed) {}
 
-  /// True when a retry of the remaining blocks may succeed.
-  [[nodiscard]] bool transient() const noexcept { return transient_; }
-  /// "read" or "write" (empty for faults constructed without a range).
+  /// "read" or "write".
   [[nodiscard]] const char* op() const noexcept { return op_; }
   /// The failed request's block range [first_block, first_block + count).
   [[nodiscard]] BlockId first_block() const noexcept { return first_; }
@@ -90,7 +81,6 @@ class DeviceFault : public std::runtime_error {
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
 
  private:
-  bool transient_ = false;
   const char* op_ = "";
   BlockId first_ = kInvalidBlock;
   std::uint64_t count_ = 0;
@@ -107,81 +97,13 @@ struct SumEntry {
 
 /// A read returned bytes whose checksum does not match what was last written
 /// to that block (torn write, bit rot, or the test injector's flipped bit).
-/// Corruption is never transient: re-reading returns the same bytes, so the
-/// retry layer passes it straight through.  The faulting read has already
-/// been counted — the block really moved; it just arrived wrong.
+/// Re-reading returns the same bytes, so the fault is final.  The faulting
+/// read has already been counted — the block really moved; it just arrived
+/// wrong.
 class CorruptBlock : public DeviceFault {
  public:
   CorruptBlock(const std::string& what, BlockId block)
-      : DeviceFault(what, /*transient=*/false, "read", block, 1, 1) {}
-};
-
-/// What the fault injector simulates.  One-shot countdown faults reproduce
-/// the classic `arm_fault_after` semantics; the other schedules model the
-/// transient-failure regimes a long-running deployment actually sees.
-struct FaultSchedule {
-  enum class Kind {
-    kOneShot,          ///< after `after` I/Os, the next I/O faults once
-    kFailThenSucceed,  ///< after `after` I/Os, the next `burst` *attempts*
-                       ///< fault (transient); retries then succeed
-    kEveryNth,         ///< every `period`-th attempted I/O faults
-    kProbabilistic,    ///< each attempt faults with probability `p` (seeded)
-  };
-
-  Kind kind = Kind::kOneShot;
-  std::uint64_t after = 0;       ///< successful I/Os before the first fault
-  std::uint64_t burst = 1;       ///< consecutive faulting attempts (kFailThenSucceed)
-  std::uint64_t period = 0;      ///< kEveryNth
-  double probability = 0.0;      ///< kProbabilistic
-  std::uint64_t seed = 0;        ///< kProbabilistic
-  bool transient = true;         ///< what DeviceFault::transient() reports
-
-  /// The classic permanent one-shot: `remaining` I/Os succeed, the next
-  /// throws, then the injector disarms.
-  static FaultSchedule one_shot_after(std::uint64_t remaining) {
-    FaultSchedule s;
-    s.kind = Kind::kOneShot;
-    s.after = remaining;
-    s.transient = false;
-    return s;
-  }
-  /// Transient one-shot: after `remaining` I/Os, `times` consecutive
-  /// attempts fault, then the injector disarms and retries succeed.
-  static FaultSchedule fail_then_succeed(std::uint64_t remaining,
-                                         std::uint64_t times = 1) {
-    FaultSchedule s;
-    s.kind = Kind::kFailThenSucceed;
-    s.after = remaining;
-    s.burst = times;
-    return s;
-  }
-  /// Every `period`-th attempted I/O faults transiently, forever.
-  static FaultSchedule every_nth(std::uint64_t period) {
-    FaultSchedule s;
-    s.kind = Kind::kEveryNth;
-    s.period = period;
-    return s;
-  }
-  /// Each attempted I/O faults transiently with probability `p`,
-  /// deterministically derived from `seed` and the attempt counter.
-  static FaultSchedule probabilistic(double p, std::uint64_t seed) {
-    FaultSchedule s;
-    s.kind = Kind::kProbabilistic;
-    s.probability = p;
-    s.seed = seed;
-    return s;
-  }
-};
-
-/// Bounded retry of transient faults, applied inside the device's public
-/// transfer methods — which covers every call site.  A retry re-issues only the blocks the fault prevented, so the
-/// base read/write counts of a retried run are identical to the fault-free
-/// run; each retry attempt is tallied separately in IoStats::retries.
-/// The default (max_retries = 0) reproduces the classic fail-fast device.
-struct FaultPolicy {
-  std::uint64_t max_retries = 0;  ///< retry attempts per request
-  std::chrono::microseconds backoff{0};  ///< first retry delay, doubled per attempt
-  std::chrono::microseconds max_backoff{100000};  ///< backoff cap
+      : DeviceFault(what, "read", block, 1, 1) {}
 };
 
 /// Abstract block device with I/O accounting, extent allocation and fault
@@ -275,30 +197,14 @@ class BlockDevice {
   }
 
   /// Fault injection: after `remaining` further I/Os succeed, the next I/O
-  /// throws a *permanent* DeviceFault (the classic one-shot hook).
+  /// throws a DeviceFault and the injector disarms (a one-shot countdown).
   void arm_fault_after(std::uint64_t remaining) {
-    arm_fault(FaultSchedule::one_shot_after(remaining));
-  }
-  /// Arm an arbitrary injection schedule (see FaultSchedule).
-  void arm_fault(const FaultSchedule& schedule) {
     const std::lock_guard<std::mutex> lock(fault_mu_);
-    schedule_ = schedule;
-    fault_countdown_ = schedule.after;
-    fault_burst_left_ = schedule.burst;
-    fault_attempts_ = 0;
+    fault_countdown_ = remaining;
     fault_armed_.store(true, std::memory_order_release);
   }
   void disarm_fault() noexcept {
     fault_armed_.store(false, std::memory_order_release);
-  }
-
-  /// Retry policy for transient faults.  Main-thread only, at quiescent
-  /// points (no transfers in flight), like arm_fault.
-  void set_fault_policy(const FaultPolicy& policy) noexcept {
-    fault_policy_ = policy;
-  }
-  [[nodiscard]] const FaultPolicy& fault_policy() const noexcept {
-    return fault_policy_;
   }
 
   /// Corruption detection: when enabled, every block write records an FNV-1a
@@ -370,18 +276,16 @@ class BlockDevice {
   struct FaultDecision {
     std::uint64_t allowed = 0;  ///< I/Os that may proceed before the fault
     bool fires = false;         ///< a fault fires after `allowed` transfers
-    bool transient = false;     ///< whether that fault is retryable
   };
 
   void check_range(BlockId first, std::uint64_t count, std::size_t span_bytes,
                    const char* op) const;
-  /// Run the armed schedule for a `count`-I/O request: how many of the I/Os
-  /// may proceed (charging the schedule for them), and whether — and how — a
-  /// fault fires on the next attempt.
+  /// Run the armed countdown for a `count`-I/O request: how many of the I/Os
+  /// may proceed (charging the countdown for them), and whether a fault
+  /// fires on the next one.
   [[nodiscard]] FaultDecision fault_check(std::uint64_t count);
   /// Shared transfer cores: validation done by the caller; these run the
-  /// fault schedule, the bounded transient retry loop, the counters and
-  /// (for reads) checksum verification.
+  /// fault countdown, the counters and (for reads) checksum verification.
   void read_core(const char* op, BlockId first, std::uint64_t count,
                  std::span<std::byte> out);
   void write_core(const char* op, BlockId first, std::uint64_t count,
@@ -390,7 +294,6 @@ class BlockDevice {
                    std::span<const std::byte> in);
   void verify_sums(BlockId first, std::uint64_t count,
                    std::span<const std::byte> data) const;
-  void backoff_sleep(std::uint64_t attempt) const;
 
   /// Checksum of one block as last written: FNV-1a over the `len`-byte
   /// prefix that the write actually transferred.
@@ -407,16 +310,11 @@ class BlockDevice {
   std::map<BlockId, std::uint64_t> free_extents_;
   std::atomic<std::uint64_t> reads_{0};
   std::atomic<std::uint64_t> writes_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  // Fast path: one relaxed-ish load when disarmed.  The schedule state is
+  // Fast path: one relaxed-ish load when disarmed.  The countdown is
   // mutex-guarded so concurrent transfers charge it exactly once each.
   std::atomic<bool> fault_armed_{false};
   std::mutex fault_mu_;
-  FaultSchedule schedule_;
   std::uint64_t fault_countdown_ = 0;
-  std::uint64_t fault_burst_left_ = 0;
-  std::uint64_t fault_attempts_ = 0;  // attempted I/Os (kEveryNth / kProbabilistic)
-  FaultPolicy fault_policy_;
   // Sidecar page map: block -> checksum of its last write.  Guarded by its
   // own mutex (transfers of disjoint blocks run concurrently).
   std::atomic<bool> checksums_{false};

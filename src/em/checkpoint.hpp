@@ -7,7 +7,7 @@
 // those are.  On restart, a run with the same job fingerprint resumes from
 // the last journaled pass boundary and produces bit-identical output,
 // repaying only the I/Os of the pass the crash interrupted (docs/model.md,
-// "Failure model, retries, and recovery").
+// "Failure model and recovery").
 //
 // Design:
 //  * The journal is an append-only file of length + checksum framed entries;

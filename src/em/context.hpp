@@ -167,18 +167,6 @@ class Context {
   void set_profile(PhaseProfile* profile) noexcept { profile_ = profile; }
   [[nodiscard]] PhaseProfile* profile() const noexcept { return profile_; }
 
-  /// Retry policy for transient device faults (docs/model.md, "Failure
-  /// model, retries, and recovery").  Forwarded to the device, where the
-  /// retry loop lives — so it covers every transfer.  Only call at quiescent
-  /// points (no transfers in flight).
-  void set_fault_policy(const FaultPolicy& policy) noexcept {
-    fault_policy_ = policy;
-    device_->set_fault_policy(policy);
-  }
-  [[nodiscard]] const FaultPolicy& fault_policy() const noexcept {
-    return fault_policy_;
-  }
-
   /// Optional checkpoint journal (see checkpoint.hpp).  Null by default —
   /// algorithms then run exactly the seed code path.  When attached, the
   /// long passes (external sort, multi-partition) publish pass boundaries to
@@ -193,7 +181,7 @@ class Context {
   /// Optional structured pass-trace sink (see pass_engine.hpp).  Null by
   /// default — the engine then records nothing.  When attached, every
   /// engine-run pass appends one PassTrace row (name, I/Os, bytes, wall
-  /// time, retries).  Non-owning; main-thread only.
+  /// time).  Non-owning; main-thread only.
   void set_pass_trace(PassTraceLog* log) noexcept { pass_trace_ = log; }
   [[nodiscard]] PassTraceLog* pass_trace() const noexcept {
     return pass_trace_;
@@ -254,7 +242,6 @@ class Context {
   PhaseProfile* profile_ = nullptr;
   CheckpointJournal* checkpoint_ = nullptr;
   PassTraceLog* pass_trace_ = nullptr;
-  FaultPolicy fault_policy_;
   IoTuning tuning_;
   WorkerTuning worker_tuning_;
   std::uint64_t pass_hwm_ = 0;

@@ -24,12 +24,6 @@ namespace emsplit {
 struct IoStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
-  /// Transient-fault retry attempts (docs/model.md, "Failure model, retries,
-  /// and recovery").  Deliberately *not* part of total(): a retried request
-  /// re-issues only the blocks the fault prevented, so the base counts of a
-  /// retried run are identical to the fault-free run and the paper's bounds
-  /// stay stated in reads + writes alone.
-  std::uint64_t retries = 0;
   /// Reads served from a decoded bucket payload (BucketScanCache).  No query
   /// path consults that cache any more, so this stays 0; the field remains
   /// because the benchmark harness reads it.  Such reads would still count
@@ -39,21 +33,19 @@ struct IoStats {
   /// Combined I/O count — the quantity the paper's bounds are stated in.
   [[nodiscard]] std::uint64_t total() const noexcept { return reads + writes; }
 
-  /// The snapshot with retries and bucket hits zeroed — what determinism
+  /// The snapshot with bucket hits zeroed — what determinism
   /// assertions compare.
   [[nodiscard]] IoStats base() const noexcept { return IoStats{reads, writes}; }
 
   IoStats& operator+=(const IoStats& o) noexcept {
     reads += o.reads;
     writes += o.writes;
-    retries += o.retries;
     bucket_hits += o.bucket_hits;
     return *this;
   }
   friend IoStats operator-(IoStats a, const IoStats& b) noexcept {
     a.reads -= b.reads;
     a.writes -= b.writes;
-    a.retries -= b.retries;
     a.bucket_hits -= b.bucket_hits;
     return a;
   }

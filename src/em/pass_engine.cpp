@@ -84,7 +84,6 @@ std::string pass_trace_json(const PassTrace& t) {
   s += "\",\"index\":" + std::to_string(t.index);
   s += ",\"reads\":" + std::to_string(t.io.reads);
   s += ",\"writes\":" + std::to_string(t.io.writes);
-  s += ",\"retries\":" + std::to_string(t.io.retries);
   s += ",\"bytes\":" + std::to_string(t.bytes);
   s += ",\"hwm_bytes\":" + std::to_string(t.hwm_bytes);
   s += ",\"seconds\":";
@@ -99,7 +98,6 @@ std::string pass_trace_json(const PassTrace& t) {
     s += "{\"id\":" + std::to_string(w.worker) +
          ",\"reads\":" + std::to_string(w.io.reads) +
          ",\"writes\":" + std::to_string(w.io.writes) +
-         ",\"retries\":" + std::to_string(w.io.retries) +
          ",\"peak_bytes\":" + std::to_string(w.peak_bytes) + ",\"seconds\":";
     append_double(s, w.seconds);
     s += ",\"barrier_seconds\":";

@@ -10,10 +10,8 @@
 //   * PassPlan      — the declarative identity of a job: a display name and
 //                     the checkpoint fingerprint its passes publish under.
 //   * PassRunner    — runs one pass under a uniform envelope: a PhaseProfile
-//                     scope, an IoStats delta (retry-aware — retries travel
-//                     in the snapshot next to the base counts) and wall
-//                     time, emitted as a PassTrace record to the
-//                     context's trace sink.  The envelope performs no I/O of
+//                     scope, an IoStats delta and wall time, emitted as a
+//                     PassTrace record to the context's trace sink.  The envelope performs no I/O of
 //                     its own, so a traced run is bit-identical to an
 //                     untraced one — the determinism contract (docs/model.md)
 //                     threads straight through.
@@ -61,7 +59,7 @@ struct PassTrace {
   std::string job;        ///< PassPlan::job
   std::string pass;       ///< pass label, e.g. "sort/merge-pass"
   std::uint64_t index = 0;  ///< 1-based position within the job
-  IoStats io;             ///< I/O delta of the pass, retries included
+  IoStats io;             ///< I/O delta of the pass
   std::uint64_t bytes = 0;  ///< io.total() * block size
   double seconds = 0.0;   ///< wall time of the pass
   bool resumed = false;   ///< true: replayed from the journal, not re-run

@@ -95,9 +95,6 @@ TEST(FaultSweepTest, FaultBeyondRunLengthDoesNotFire) {
   EXPECT_FALSE(faulted);
 }
 
-// ---------------------------------------------------------------------------
-// Transient faults and the bounded retry layer.
-
 /// All records of `v`, read back through the stream layer.
 std::vector<Record> dump(const EmVector<Record>& v) {
   std::vector<Record> out;
@@ -105,118 +102,6 @@ std::vector<Record> dump(const EmVector<Record>& v) {
   StreamReader<Record> r(v);
   while (!r.done()) out.push_back(r.next());
   return out;
-}
-
-TEST(TransientFaults, RetriedRunMatchesFaultFreeRun) {
-  auto host = make_workload(Workload::kUniform, 20000, 11);
-
-  EmEnv ref(256, 8);
-  auto ref_in = materialize<Record>(ref.ctx, host);
-  ref.dev.reset_stats();
-  auto ref_out = external_sort<Record>(ref.ctx, ref_in);
-  const IoStats ref_io = ref.dev.stats();
-
-  EmEnv env(256, 8);
-  FaultPolicy policy;
-  policy.max_retries = 4;
-  env.ctx.set_fault_policy(policy);
-  auto in = materialize<Record>(env.ctx, host);
-  env.dev.reset_stats();
-  env.dev.arm_fault(FaultSchedule::fail_then_succeed(100, 2));
-  auto out = external_sort<Record>(env.ctx, in);
-  env.dev.disarm_fault();
-  const IoStats io = env.dev.stats();
-
-  // The determinism contract: retries re-issue only the blocks the fault
-  // prevented, so the base counts match the fault-free run exactly and the
-  // two faulting attempts are tallied in the separate retries counter.
-  EXPECT_EQ(io.base(), ref_io.base());
-  EXPECT_EQ(io.retries, 2u);
-  EXPECT_EQ(dump(out), dump(ref_out));
-}
-
-TEST(TransientFaults, FailFastWithoutPolicy) {
-  EmEnv env(256, 8);
-  auto host = make_workload(Workload::kUniform, 20000, 12);
-  auto input = materialize<Record>(env.ctx, host);
-  env.dev.arm_fault(FaultSchedule::fail_then_succeed(50, 1));
-  try {
-    auto s = external_sort<Record>(env.ctx, input);
-    FAIL() << "expected DeviceFault";
-  } catch (const DeviceFault& e) {
-    // Default policy (max_retries = 0) is the classic fail-fast device; the
-    // escaping fault still reports that a retry might have worked.
-    EXPECT_TRUE(e.transient());
-  }
-  env.dev.disarm_fault();
-  EXPECT_EQ(env.dev.stats().retries, 0u);
-}
-
-TEST(TransientFaults, RetryBudgetExhaustedRethrows) {
-  EmEnv env(256, 8);
-  auto host = make_workload(Workload::kUniform, 20000, 13);
-  auto input = materialize<Record>(env.ctx, host);
-  FaultPolicy policy;
-  policy.max_retries = 2;
-  env.ctx.set_fault_policy(policy);
-  env.dev.reset_stats();
-  env.dev.arm_fault(FaultSchedule::fail_then_succeed(50, 5));  // burst > budget
-  try {
-    auto s = external_sort<Record>(env.ctx, input);
-    FAIL() << "expected DeviceFault";
-  } catch (const DeviceFault& e) {
-    EXPECT_TRUE(e.transient());
-  }
-  env.dev.disarm_fault();
-  EXPECT_EQ(env.dev.stats().retries, 2u);
-}
-
-TEST(TransientFaults, EveryNthRetriedToCompletion) {
-  auto host = make_workload(Workload::kUniform, 20000, 14);
-
-  EmEnv ref(256, 8);
-  auto ref_in = materialize<Record>(ref.ctx, host);
-  ref.dev.reset_stats();
-  auto ref_out = external_sort<Record>(ref.ctx, ref_in);
-  const IoStats ref_io = ref.dev.stats();
-
-  EmEnv env(256, 8);
-  FaultPolicy policy;
-  policy.max_retries = 2;
-  env.ctx.set_fault_policy(policy);
-  auto in = materialize<Record>(env.ctx, host);
-  env.dev.reset_stats();
-  env.dev.arm_fault(FaultSchedule::every_nth(97));
-  auto out = external_sort<Record>(env.ctx, in);
-  env.dev.disarm_fault();
-  const IoStats io = env.dev.stats();
-  EXPECT_EQ(io.base(), ref_io.base());
-  EXPECT_GT(io.retries, 0u);
-  EXPECT_EQ(dump(out), dump(ref_out));
-}
-
-TEST(TransientFaults, ProbabilisticRetriedToCompletion) {
-  auto host = make_workload(Workload::kUniform, 20000, 15);
-
-  EmEnv ref(256, 8);
-  auto ref_in = materialize<Record>(ref.ctx, host);
-  ref.dev.reset_stats();
-  auto ref_out = external_sort<Record>(ref.ctx, ref_in);
-  const IoStats ref_io = ref.dev.stats();
-
-  EmEnv env(256, 8);
-  FaultPolicy policy;
-  policy.max_retries = 8;
-  env.ctx.set_fault_policy(policy);
-  auto in = materialize<Record>(env.ctx, host);
-  env.dev.reset_stats();
-  env.dev.arm_fault(FaultSchedule::probabilistic(0.02, 12345));
-  auto out = external_sort<Record>(env.ctx, in);
-  env.dev.disarm_fault();
-  const IoStats io = env.dev.stats();
-  EXPECT_EQ(io.base(), ref_io.base());
-  EXPECT_GT(io.retries, 0u);
-  EXPECT_EQ(dump(out), dump(ref_out));
 }
 
 TEST(PermanentFault, CarriesExactBlockRange) {
@@ -231,7 +116,6 @@ TEST(PermanentFault, CarriesExactBlockRange) {
     dev.read_blocks(r.first, 8, std::span<std::byte>(buf));
     FAIL() << "expected DeviceFault";
   } catch (const DeviceFault& e) {
-    EXPECT_FALSE(e.transient());
     EXPECT_STREQ(e.op(), "read");
     EXPECT_EQ(e.first_block(), r.first);
     EXPECT_EQ(e.block_count(), 8u);
@@ -283,8 +167,6 @@ TEST(Checksums, RoundTripVerifiesAndFlippedBitDetected) {
     dev.read_blocks(r.first, 4, got);
     FAIL() << "expected CorruptBlock";
   } catch (const CorruptBlock& e) {
-    // Corruption is permanent: the same bytes come back on every retry.
-    EXPECT_FALSE(e.transient());
     EXPECT_EQ(e.first_block(), r.first + 2);
   }
 }

@@ -1,12 +1,11 @@
 // Exhaustive fault-sweep harness: a permanent fault armed at EVERY I/O index
-// of a run must unwind cleanly (no device-block or budget leaks), a transient
-// fault at every index must be retried to an identical run, and with a
+// of a run must unwind cleanly (no device-block or budget leaks), and with a
 // checkpoint journal attached a crash at every index must resume to
 // bit-identical output while repaying only the interrupted pass's I/Os.
 //
 // The sweeps are exhaustive by I/O index, not sampled — the point of the
 // harness is that no fault position, pass boundary included, breaks the
-// invariants (docs/model.md, "Failure model, retries, and recovery").
+// invariants (docs/model.md, "Failure model and recovery").
 //
 // The worker-kill sweep at the bottom is the distributed analogue: a lane
 // killed at EVERY (lane, round) position of a journaled dsort /
@@ -106,34 +105,6 @@ TEST(ExhaustiveFaultSweep, PartitionUnwindsCleanlyAtEveryIoIndex) {
   }
   auto r = multi_partition<Record>(env.ctx, input, ranks);
   EXPECT_EQ(r.data.size(), input.size());
-}
-
-// ---------------------------------------------------------------------------
-// Transient faults: retried to an identical run at every index.
-
-TEST(ExhaustiveFaultSweep, SortTransientRetriedAtEveryIoIndex) {
-  EmEnv env(256, 8);
-  auto host = make_workload(Workload::kUniform, 1000, 23);
-  auto input = materialize<Record>(env.ctx, host);
-  env.dev.reset_stats();
-  auto ref_sorted = external_sort<Record>(env.ctx, input);
-  const IoStats ref_io = env.dev.stats();  // before dump(): reads count too
-  const auto ref_bytes = dump(ref_sorted);
-
-  FaultPolicy policy;
-  policy.max_retries = 1;
-  env.ctx.set_fault_policy(policy);
-  for (std::uint64_t i = 0; i < ref_io.total(); ++i) {
-    env.dev.reset_stats();
-    env.dev.arm_fault(FaultSchedule::fail_then_succeed(i, 1));
-    auto s = external_sort<Record>(env.ctx, input);
-    env.dev.disarm_fault();
-    const IoStats io = env.dev.stats();
-    ASSERT_EQ(io.base(), ref_io.base())
-        << "base I/O counts diverged at fault index " << i;
-    ASSERT_EQ(io.retries, 1u) << "fault index " << i;
-    ASSERT_EQ(dump(s), ref_bytes) << "output diverged at fault index " << i;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -46,10 +45,6 @@ Machine make_machine(const Options& opt) {
   wt.kill_round = opt.kill_round;
   wt.mem_workers = opt.mem_workers;
   m.ctx->set_worker_tuning(wt);
-  FaultPolicy policy;
-  policy.max_retries = opt.fault_retries;
-  policy.backoff = std::chrono::microseconds(opt.fault_backoff_us);
-  m.ctx->set_fault_policy(policy);
   if (!opt.checkpoint_dir.empty()) {
     m.journal = std::make_unique<CheckpointJournal>(
         *m.dev, opt.checkpoint_dir + "/journal.ckpt");
@@ -74,8 +69,7 @@ Machine make_machine(const Options& opt) {
                "               [--workers=W] [--kill-worker=W:R]"
                " [--mem-workers=N]\n"
                "               [--backend=mem|file] [--batch-blocks=N]\n"
-               "               [--trace=FILE] [--fault-policy=R[:BACKOFF_US]]"
-               " [--checksums=on|off]\n"
+               "               [--trace=FILE] [--checksums=on|off]\n"
                "               [--checkpoint-dir=DIR] [--crash-after-pass=N]"
                " <command>\n"
                "  gen       <file> <n> [workload] [seed]   create a dataset\n"
@@ -154,11 +148,8 @@ void print_cost(const Context& ctx, std::size_t n) {
   std::printf("[cost] %" PRIu64 " block I/Os (reads %" PRIu64 ", writes %"
               PRIu64 ")",
               io.total(), io.reads, io.writes);
-  // Retries and resumed passes print only when nonzero: the default output
-  // stays byte-identical across lane counts and fault-free runs.
-  if (io.retries > 0) {
-    std::printf(" + %" PRIu64 " transient retries", io.retries);
-  }
+  // Resumed passes print only when nonzero: the default output stays
+  // byte-identical across lane counts and uninterrupted runs.
   const CheckpointJournal* journal = ctx.checkpoint();
   if (journal != nullptr && journal->resumed_passes() > 0) {
     std::printf(" (resumed %" PRIu64 " journaled passes)",
@@ -205,15 +196,6 @@ int parse_global_options(int argc, char** argv, Options& opt) {
     } else if (arg.rfind("--trace=", 0) == 0) {
       opt.trace_path = arg.substr(8);
       if (opt.trace_path.empty()) usage("--trace needs a path");
-    } else if (arg.rfind("--fault-policy=", 0) == 0) {
-      const std::string spec = arg.substr(15);
-      const std::size_t colon = spec.find(':');
-      opt.fault_retries =
-          parse_u64(spec.substr(0, colon).c_str(), "fault-policy retries");
-      if (colon != std::string::npos) {
-        opt.fault_backoff_us =
-            parse_u64(spec.substr(colon + 1).c_str(), "fault-policy backoff");
-      }
     } else if (arg.rfind("--checksums=", 0) == 0) {
       const std::string v = arg.substr(12);
       if (v == "on") {

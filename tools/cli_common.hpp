@@ -32,8 +32,6 @@ struct Options {
   std::size_t mem_workers = 1;
   std::size_t batch_blocks = 1;
   std::string trace_path;
-  std::uint64_t fault_retries = 0;
-  std::uint64_t fault_backoff_us = 0;
   bool checksums = false;
   std::string checkpoint_dir;
   std::uint64_t crash_after = 0;

@@ -60,11 +60,12 @@ foreach(pair backend:uring shards:2 stripe-blocks:8)
   endif()
 endforeach()
 
-# Removed worker-supervision and CPU-pool options are refused with a usage
-# error, and the usage text no longer lists them; --kill-worker (the lane
-# kill hook) and --mem-workers are unaffected.
+# Removed worker-supervision, CPU-pool and transient-retry options are
+# refused with a usage error, and the usage text no longer lists them;
+# --kill-worker (the lane kill hook) and --mem-workers are unaffected.
 foreach(pair hang-worker:1:2 corrupt-frame:1:2 max-worker-retries:2
-        worker-timeout:8 degrade-after:1 threads:4 sort-shards:2)
+        worker-timeout:8 degrade-after:1 threads:4 sort-shards:2
+        fault-policy:3)
   string(REGEX REPLACE "^([a-z-]+):" "--\\1=" opt "${pair}")
   execute_process(COMMAND ${CLI} ${opt} info data.bin
     WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc

@@ -38,9 +38,7 @@
 // plan on W threads, and for every such W the reported I/O cost and the
 // output bytes are identical (docs/model.md, "Lanes").  --backend and --batch-blocks are likewise
 // output-transparent: the device and batching are geometry, never output
-// (docs/model.md, "I/O batching").  Transient
-// retries never change the base I/O counts either — `[cost]` reports them
-// separately (docs/model.md, "Failure model, retries, and recovery").
+// (docs/model.md, "I/O batching").
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
