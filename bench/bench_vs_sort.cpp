@@ -7,6 +7,11 @@
 // right-grounded splitters (sublinear), solid wins for loose [a, b], and
 // convergence toward 1x as [a, b] tightens to exact balance (where the
 // problems genuinely cost as much as multi-partition).
+//
+// A second table places the certified sample (core/splitters.hpp) at the
+// end-to-end benchmark's geometry: for the window [N/2K, 2N/K], the bucket
+// bounds the sampler proves for its quantile pick, and whether they fit.
+// It is computed from the sampler's plan alone, so it costs no I/O.
 #include "bench_util.hpp"
 
 namespace emsplit::bench {
@@ -73,6 +78,28 @@ void run() {
   run_case("partitioning 2-sided loose", {.k = k, .a = 64, .b = n / 8}, true);
   run_case("partitioning exact (a=b=N/K)", {.k = k, .a = n / k, .b = n / k},
            true);
+
+  const std::size_t bench_n = 1u << 22;
+  const std::size_t bench_mem = (std::size_t{4} << 20) / sizeof(Record);
+  const auto plan = detail::sample_plan(bench_n, bench_mem);
+  std::printf(
+      "# certified sample at N = %zu, M = 4 MiB (%zu records): L = %zu, "
+      "P = %llu, sigma = %llu, m = %zu\n",
+      bench_n, bench_mem, plan.levels,
+      static_cast<unsigned long long>(plan.stride_pow),
+      static_cast<unsigned long long>(plan.slack), plan.size);
+  print_columns({"K", "N/K", "a=N/2K", "b=2N/K", "min_bucket", "max_bucket",
+                 "certified"});
+  for (std::uint64_t kk = 64; kk <= 32768; kk *= 2) {
+    const ApproxSpec spec{.k = kk, .a = bench_n / (2 * kk),
+                          .b = 2 * bench_n / kk};
+    const auto cert = detail::certify_quantile_picks(bench_n, kk, plan);
+    print_row({static_cast<double>(kk), static_cast<double>(bench_n / kk),
+               static_cast<double>(spec.a), static_cast<double>(spec.b),
+               static_cast<double>(cert.min_bucket),
+               static_cast<double>(cert.max_bucket),
+               cert.fits(spec) ? 1.0 : 0.0});
+  }
 }
 
 }  // namespace

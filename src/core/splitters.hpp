@@ -8,10 +8,24 @@
 //   left-grounded  (a == 0):  O((N/B) lg_{M/B}(N/(bB)))
 //   two-sided:                O((aK/B) lg_{M/B}(K/B) + (N/B) lg_{M/B}(N/(bB)))
 //
-// All three reduce to multi-selection (Theorem 4) on carefully chosen rank
-// sets; the two-sided case first splits S physically into its aK' smallest
-// elements and the rest so that the quantile work on the small side is
-// charged only |S_low|/B per scan.
+// Two-sided and left-grounded specs first try the certified sample.
+// linear_splitters' final sample u_0 < ... < u_{m-1} satisfies
+// P*j <= #{e < u_j} <= P*j + sigma (select/linear_splitters.hpp), and m, P
+// and sigma depend only on (N, M).  Picking the sample whose rank interval
+// is centred on each quantile rank floor(i*N/K) bounds every bucket, both
+// end buckets included, before anything is read: a bucket spanning dj
+// samples holds between max(P*dj - sigma, dj) and P*dj + sigma elements.
+// When those bounds fit [a, b], one sampler run — O(N/B) I/Os, no
+// multi-selection, no journal entries — is the answer.  Otherwise nothing
+// has been read and the multi-selection path below runs unchanged.  With
+// N <= M/4 the sample is S itself (P = 1, sigma = 0), so the pick is the
+// exact quantile.  A certified answer depends on M: the same window can get
+// different (equally valid) splitters at another memory size.
+//
+// The multi-selection path: all three variants reduce to multi-selection
+// (Theorem 4) on carefully chosen rank sets; the two-sided case first splits
+// S physically into its aK' smallest elements and the rest so that the
+// quantile work on the small side is charged only |S_low|/B per scan.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +38,7 @@
 #include "em/context.hpp"
 #include "em/em_vector.hpp"
 #include "em/stream.hpp"
+#include "select/linear_splitters.hpp"
 #include "select/multi_select.hpp"
 
 namespace emsplit {
@@ -64,23 +79,72 @@ inline std::vector<std::uint64_t> quantile_ranks(std::uint64_t n,
   return ranks;
 }
 
-}  // namespace detail
+/// What a sampler run (linear_splitters) would prove about K-1 of its final
+/// samples picked at the quantile ranks — known before the sampler runs.
+struct SampleCertificate {
+  /// Final-sample indices j_1 < ... < j_{K-1}; empty when no strictly
+  /// increasing pick exists (K - 1 > m).
+  std::vector<std::size_t> picks;
+  /// Proven bounds on every induced bucket, both end buckets included.
+  std::uint64_t min_bucket = 0;
+  std::uint64_t max_bucket = 0;
 
-/// Solve the approximate K-splitters problem on `input` with parameters
-/// `spec`.  Returns the K-1 splitters in ascending order.  See the header
-/// comment for per-variant costs; all are optimal (Theorems 1, 2, 5).
-template <EmRecord T, typename Less = std::less<T>>
-[[nodiscard]] std::vector<T> approx_splitters(Context& ctx,
-                                              const EmVector<T>& input,
-                                              const ApproxSpec& spec,
-                                              Less less = {}) {
+  [[nodiscard]] bool fits(const ApproxSpec& spec) const noexcept {
+    return !picks.empty() && spec.a <= min_bucket && max_bucket <= spec.b;
+  }
+};
+
+/// Certify the quantile pick from the sampler's plan over n records.  A
+/// splitter u_j has #{e <= u_j} in [P*j + 1, P*j + sigma + 1]; j is chosen
+/// to centre that interval on the quantile rank r, so with P = 1 and
+/// sigma = 0 it is the element of rank r.  A bucket between boundaries with
+/// counts in [lo', hi'] and [lo, hi] holds between lo - hi' and hi - lo'
+/// elements, and at least the samples it contains.
+inline SampleCertificate certify_quantile_picks(std::uint64_t n,
+                                                std::uint64_t k,
+                                                const SamplePlan& plan) {
+  const std::uint64_t m = plan.size;
+  if (k < 2 || k - 1 > m) return {};
+  const std::uint64_t p = plan.stride_pow;
+  const std::uint64_t sigma = plan.slack;
+  const auto sat_sub = [](std::uint64_t x, std::uint64_t y) {
+    return x > y ? x - y : 0;
+  };
+
+  SampleCertificate cert;
+  cert.picks.reserve(static_cast<std::size_t>(k - 1));
+  cert.min_bucket = n;
+  // The previous boundary: #{e <= it} in [lo, hi], and q samples <= it.
+  std::uint64_t prev_lo = 0, prev_hi = 0, prev_q = 0;  // -infinity
+  const auto close_bucket = [&](std::uint64_t lo, std::uint64_t hi,
+                                std::uint64_t q) {
+    cert.min_bucket = std::min(
+        cert.min_bucket, std::max(sat_sub(lo, prev_hi), q - prev_q));
+    cert.max_bucket = std::max(cert.max_bucket, sat_sub(hi, prev_lo));
+    prev_lo = lo;
+    prev_hi = hi;
+    prev_q = q;
+  };
+  for (const std::uint64_t r : quantile_ranks(n, k)) {
+    // j = round((r - 1 - sigma/2) / P), clamped to [0, m - 1].
+    const std::uint64_t twice = 2 * (r - 1) + p;
+    const std::uint64_t j =
+        std::min(m - 1, twice > sigma ? (twice - sigma) / (2 * p) : 0);
+    if (!cert.picks.empty() && j <= cert.picks.back()) return {};
+    close_bucket(p * j + 1, p * j + sigma + 1, j + 1);
+    cert.picks.push_back(static_cast<std::size_t>(j));
+  }
+  close_bucket(n, n, m);  // +infinity
+  return cert;
+}
+
+/// The multi-selection path: every grounding reduced to multi_select on a
+/// rank set (or, right-grounded with a = 0, to any K-1 elements).
+template <EmRecord T, typename Less>
+std::vector<T> selection_splitters(Context& ctx, const EmVector<T>& input,
+                                   const ApproxSpec& spec, Less less) {
   const std::uint64_t n = input.size();
   const std::uint64_t k = spec.k;
-  validate_spec(n, spec);
-  if (k > n) {
-    throw std::invalid_argument("approx_splitters: K must be at most N");
-  }
-  if (k == 1) return {};
 
   // ---- Right-grounded: read only an aK prefix. ---------------------------
   if (spec.right_grounded(n)) {
@@ -152,6 +216,39 @@ template <EmRecord T, typename Less = std::less<T>>
     ranks.push_back(low_size + i * high / (k - kprime));
   }
   return multi_select<T, Less>(ctx, input, ranks, less);
+}
+
+}  // namespace detail
+
+/// Solve the approximate K-splitters problem on `input` with parameters
+/// `spec`.  Returns the K-1 splitters in ascending order.  See the header
+/// comment for per-variant costs; all are optimal (Theorems 1, 2, 5).
+template <EmRecord T, typename Less = std::less<T>>
+[[nodiscard]] std::vector<T> approx_splitters(Context& ctx,
+                                              const EmVector<T>& input,
+                                              const ApproxSpec& spec,
+                                              Less less = {}) {
+  const std::uint64_t n = input.size();
+  validate_spec(n, spec);
+  if (spec.k > n) {
+    throw std::invalid_argument("approx_splitters: K must be at most N");
+  }
+  if (spec.k == 1) return {};
+
+  // Right-grounded keeps its prefix path: it reads far less than a sampler.
+  if (!spec.right_grounded(n)) {
+    const detail::SampleCertificate cert = detail::certify_quantile_picks(
+        n, spec.k, detail::sample_plan(n, ctx.mem_records<T>()));
+    if (cert.fits(spec)) {
+      const auto sample = linear_splitters<T, Less>(ctx, input, less);
+      auto res = ctx.budget().reserve(sample.splitters.size() * sizeof(T));
+      std::vector<T> s;
+      s.reserve(cert.picks.size());
+      for (const std::size_t j : cert.picks) s.push_back(sample.splitters[j]);
+      return s;
+    }
+  }
+  return detail::selection_splitters<T, Less>(ctx, input, spec, less);
 }
 
 }  // namespace emsplit

@@ -22,13 +22,20 @@
 // final samples u < v (which satisfy r_L(v) - r_L(u) <= 1) bounds the bucket
 // between them by
 //     s^L + (s-1) * sum_l s^{l-1} * m_l  =  O((N/M) * log(N/M)).
-// The code computes this bound exactly (with ceilings) during the run and
-// returns it, and tests assert the real maximum bucket never exceeds it.
+// The same unrolling pins every final sample's rank: with P = s^L and
+// sigma = (s-1) * sum_l s^{l-1} * m_l, the j-th smallest final sample u_j
+// (0-based) satisfies  P*j <= #{e in S : e < u_j} <= P*j + sigma.
+// The level sizes, and so L, |S_L|, P and sigma, depend only on (n, M):
+// detail::sample_plan() computes them without reading anything, which lets
+// approx_splitters certify a pick of final samples before any I/O
+// (core/splitters.hpp).  Tests assert the real ranks obey the bounds.
 // Cost: sum_l |S_l| * (1/B read + 1/(sB) write) = O(N/B).
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -39,6 +46,45 @@
 #include "sort/branchless_sort.hpp"
 
 namespace emsplit {
+namespace detail {
+
+/// s in the header comment.
+inline constexpr std::size_t kSampleStride = 4;
+
+/// The sampler's chunk: M/2 records, sorted in memory one at a time.
+[[nodiscard]] inline std::size_t sample_chunk_cap(std::size_t mem_records) {
+  return std::max<std::size_t>(1, mem_records / 2);
+}
+
+/// The shape of a linear_splitters run over n records with M = mem_records:
+/// the level recurrence on sizes alone, so it costs no I/O.
+struct SamplePlan {
+  std::size_t levels = 0;        ///< L, the number of sampling passes
+  std::size_t size = 0;          ///< m = |S_L|, the number of splitters
+  std::uint64_t stride_pow = 1;  ///< P = s^L
+  std::uint64_t slack = 0;       ///< sigma = (s-1) * sum_l s^{l-1} * m_l
+};
+
+[[nodiscard]] inline SamplePlan sample_plan(std::size_t n,
+                                            std::size_t mem_records) {
+  const std::size_t chunk_cap = sample_chunk_cap(mem_records);
+  const std::size_t target = std::max<std::size_t>(1, mem_records / 4);
+  SamplePlan plan;
+  plan.size = n;
+  while (plan.size > target) {
+    const std::size_t num_chunks = (plan.size + chunk_cap - 1) / chunk_cap;
+    plan.slack += (kSampleStride - 1) * plan.stride_pow * num_chunks;
+    plan.stride_pow *= kSampleStride;
+    ++plan.levels;
+    // Each chunk keeps its elements at local ranks s, 2s, ...
+    plan.size = (plan.size / chunk_cap) * (chunk_cap / kSampleStride) +
+                (plan.size % chunk_cap) / kSampleStride;
+    if (plan.size == 0) break;  // degenerate: every chunk smaller than s
+  }
+  return plan;
+}
+
+}  // namespace detail
 
 template <EmRecord T>
 struct LinearSplittersResult {
@@ -61,11 +107,10 @@ template <EmRecord T, typename Less = std::less<T>>
   // Every sampling level is one linear pass over the previous level; the
   // engine wraps each (plus the final load) in the trace/profile envelope.
   PassRunner runner(ctx, {"splitters", 0});
-  constexpr std::size_t kStride = 4;  // s in the header comment
+  constexpr std::size_t kStride = detail::kSampleStride;
   const std::size_t n = last - first;
-  const std::size_t mem = ctx.mem_records<T>();
-  const std::size_t chunk_cap = std::max<std::size_t>(1, mem / 2);
-  const std::size_t target = std::max<std::size_t>(1, mem / 4);
+  const std::size_t chunk_cap = detail::sample_chunk_cap(ctx.mem_records<T>());
+  const detail::SamplePlan plan = detail::sample_plan(n, ctx.mem_records<T>());
 
   LinearSplittersResult<T> result;
   if (n == 0) return result;
@@ -75,14 +120,9 @@ template <EmRecord T, typename Less = std::less<T>>
   EmVector<T> level_vec;           // S_l for l >= 1
   std::size_t level_size = n;      // |S_{l-1}| while producing S_l
   bool level_is_input = true;
-  std::size_t stride_pow = 1;      // s^{l-1}
-  std::size_t slack = 0;           // (s-1) * sum s^{l-1} m_l so far
 
-  while (level_size > target) {
+  for (std::size_t level = 0; level < plan.levels; ++level) {
     const std::size_t num_chunks = (level_size + chunk_cap - 1) / chunk_cap;
-    slack += (kStride - 1) * stride_pow * num_chunks;
-    stride_pow *= kStride;
-
     EmVector<T> next = runner.run("splitters/recursive-sample", [&] {
       EmVector<T> sampled(ctx, level_size / kStride + num_chunks);
       auto chunk_res = ctx.budget().reserve(chunk_cap * sizeof(T));
@@ -107,8 +147,8 @@ template <EmRecord T, typename Less = std::less<T>>
     level_size = next.size();
     level_vec = std::move(next);
     level_is_input = false;
-    if (level_size == 0) break;  // degenerate: every chunk smaller than s
   }
+  assert(level_size == plan.size);
 
   // Load the final level and sort it; these are the splitters.
   result.splitters.resize(level_size);
@@ -127,7 +167,7 @@ template <EmRecord T, typename Less = std::less<T>>
   // Consecutive final samples differ by one in r_L; the unrolled recurrence
   // gives the bucket bound below.  The extreme buckets (before the first and
   // after the last splitter) obey the same bound: take r_L = 0 there.
-  result.bucket_bound = stride_pow + slack;
+  result.bucket_bound = plan.stride_pow + plan.slack;
   return result;
 }
 

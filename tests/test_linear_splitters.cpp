@@ -104,5 +104,52 @@ TEST(LinearSplittersTest, SubRange) {
             result.bucket_bound);
 }
 
+
+// The plan (sizes alone, no I/O) must describe the real run exactly:
+// approx_splitters certifies a pick from it before the sampler reads
+// anything.  Also checks the rank bounds that certificate rests on:
+// P*j <= #{e < u_j} <= P*j + sigma for every final sample u_j.
+TEST(SamplePlanTest, MatchesTheSamplerAndItsRankBounds) {
+  struct Geometry {
+    std::size_t block_bytes;
+    std::size_t mem_blocks;
+  };
+  // A 6-record memory makes 3-record chunks, smaller than the stride, so
+  // the run degenerates; the n = chunk + 3 and 5 * chunk + 2 rows end in a
+  // tail chunk smaller than the stride.
+  for (const Geometry g : {Geometry{16, 6}, Geometry{64, 8}, Geometry{128, 4},
+                           Geometry{256, 8}, Geometry{256, 16},
+                           Geometry{4096, 8}}) {
+    EmEnv env(g.block_bytes, g.mem_blocks);
+    const std::size_t mem = env.ctx.mem_records<Record>();
+    const std::size_t chunk = std::max<std::size_t>(1, mem / 2);
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{3}, mem / 4, mem / 4 + 1,
+          chunk + 3, 5 * chunk + 2, std::size_t{20011}, std::size_t{65536}}) {
+      const std::string what = "block=" + std::to_string(g.block_bytes) +
+                               " mem_blocks=" + std::to_string(g.mem_blocks) +
+                               " n=" + std::to_string(n);
+      auto host = make_workload(Workload::kUniform, n, n + g.mem_blocks,
+                                env.ctx.block_records<Record>());
+      auto input = materialize<Record>(env.ctx, host);
+      const auto plan = detail::sample_plan(n, mem);
+      const auto result = linear_splitters<Record>(env.ctx, input);
+      EXPECT_EQ(plan.size, result.splitters.size()) << what;
+      EXPECT_EQ(plan.stride_pow + plan.slack, result.bucket_bound) << what;
+
+      const auto sorted_ref = testutil::sorted_copy(host);
+      for (std::size_t j = 0; j < result.splitters.size(); ++j) {
+        const auto below = static_cast<std::uint64_t>(
+            std::lower_bound(sorted_ref.begin(), sorted_ref.end(),
+                             result.splitters[j]) -
+            sorted_ref.begin());
+        ASSERT_LE(plan.stride_pow * j, below) << what << " j=" << j;
+        ASSERT_LE(below, plan.stride_pow * j + plan.slack)
+            << what << " j=" << j;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace emsplit

@@ -154,6 +154,17 @@ TEST(GoldenIos, SplittersRightGrounded) {
   EXPECT_EQ(g.env.dev.stats().total(), 14u);
 }
 
+TEST(GoldenIos, SplittersTwoSidedCertified) {
+  GoldenEnv g;
+  auto s = approx_splitters<Record>(g.env.ctx, g.input,
+                                    {.k = 16, .a = 8192, .b = 32768});
+  // The certificate holds (P = 256, sigma = 768, m = 1,024 samples; buckets
+  // of 16,384 +- 768), so the job is one sampler run: four sampling levels
+  // reading 1024 + 256 + 64 + 16 blocks and writing a quarter of each, plus
+  // the 4-block final sample.  No counting scan, no selection.
+  EXPECT_EQ(g.env.dev.stats().total(), 1704u);
+}
+
 TEST(GoldenIos, PartitioningTwoSided) {
   GoldenEnv g;
   auto r = approx_partitioning<Record>(

@@ -173,5 +173,41 @@ TEST(VerifySplittersTest, DetectsBadAnswers) {
   EXPECT_EQ(r2.sizes, (std::vector<std::uint64_t>{25, 25, 25, 25}));
 }
 
+
+// The certificate's arithmetic, derived by hand.  50,000 records at
+// M = 65,536 records (the CLI's default 1 MiB): one sampling level of two
+// chunks, m = 8,192 + 4,308 = 12,500 samples, P = 4, sigma = 3 * 2 = 6.
+// For K = 8 the quantile ranks are 6,250 * i; centring [4j + 1, 4j + 7] on
+// r gives j_i = floor((12,500 * i - 4) / 8) = 1562, 3124, 4687, ...  Gaps
+// of 1,562 and 1,563 samples bound the buckets to [6,248 - 6, 6,252 + 6].
+TEST(SampleCertificateTest, HandDerivedBounds) {
+  const auto plan = detail::sample_plan(50000, 65536);
+  EXPECT_EQ(plan.levels, 1u);
+  EXPECT_EQ(plan.size, 12500u);
+  EXPECT_EQ(plan.stride_pow, 4u);
+  EXPECT_EQ(plan.slack, 6u);
+  const auto cert = detail::certify_quantile_picks(50000, 8, plan);
+  ASSERT_EQ(cert.picks.size(), 7u);
+  EXPECT_EQ(cert.picks[0], 1562u);
+  EXPECT_EQ(cert.picks[1], 3124u);
+  EXPECT_EQ(cert.picks[2], 4687u);
+  EXPECT_EQ(cert.min_bucket, 6242u);
+  EXPECT_EQ(cert.max_bucket, 6258u);
+  EXPECT_TRUE(cert.fits({.k = 8, .a = 3125, .b = 12500}));
+  EXPECT_FALSE(cert.fits({.k = 8, .a = 6250, .b = 6250}));
+
+  // N <= M/4: the sample is the input, the pick the exact quantile.
+  const auto exact = detail::certify_quantile_picks(
+      250, 10, detail::sample_plan(250, 1024));
+  ASSERT_EQ(exact.picks.size(), 9u);
+  EXPECT_EQ(exact.picks.front(), 24u);
+  EXPECT_EQ(exact.picks.back(), 224u);
+  EXPECT_EQ(exact.min_bucket, 25u);
+  EXPECT_EQ(exact.max_bucket, 25u);
+
+  // K - 1 > m: no strictly increasing pick.
+  EXPECT_TRUE(detail::certify_quantile_picks(50000, 12502, plan).picks.empty());
+}
+
 }  // namespace
 }  // namespace emsplit

@@ -18,6 +18,28 @@ run(sort data.bin sorted.bin)
 run(select data.bin 1 25000 50000)
 run(histogram data.bin 10 0.5)
 
+# Approximate splitters cost less than exact ones: the sampler's certificate
+# covers [3125, 12500] (buckets of 6,250 +- 8), so that window is answered
+# by the sampler alone, while a = b = N/K needs exact multi-selection.
+function(splitters_cost var)
+  execute_process(COMMAND ${CLI} splitters data.bin ${ARGN}
+    WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0 OR NOT out MATCHES "all within")
+    message(FATAL_ERROR "emsplit splitters ${ARGN} failed (${rc}):\n${out}\n${err}")
+  endif()
+  if(NOT out MATCHES "\\[cost\\] ([0-9]+) block I/Os")
+    message(FATAL_ERROR "emsplit splitters ${ARGN}: no [cost] line:\n${out}")
+  endif()
+  set(${var} ${CMAKE_MATCH_1} PARENT_SCOPE)
+endfunction()
+splitters_cost(certified_ios 8 3125 12500)
+splitters_cost(exact_ios 8 6250 6250)
+if(NOT certified_ios LESS exact_ios)
+  message(FATAL_ERROR
+    "certified splitters cost ${certified_ios} I/Os, exact ${exact_ios}")
+endif()
+
 # A bad spec must fail cleanly.
 execute_process(COMMAND ${CLI} splitters data.bin 8 999999 50000
   WORKING_DIRECTORY ${WORKDIR} RESULT_VARIABLE rc
